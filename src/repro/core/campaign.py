@@ -75,10 +75,12 @@ ML_METHODS = ("EML", "SAML")
 #: cell once per method; the EM reference is method-independent, so
 #: re-walking the space for every method is pure waste.  Entries are
 #: frozen :class:`~repro.core.methods.MethodResult` instances shared
-#: across calls.  Process fan-out keeps the parent authoritative:
-#: workers are pre-seeded with the parent's entries and return whatever
-#: they computed fresh, which the parent merges back — so a repeated
-#: campaign never re-walks a cell, no matter the start method.
+#: across calls.  Process fan-out keeps the parent authoritative: each
+#: worker is pre-seeded with *its cell's* entries only (those sharing
+#: the job's platform spec and workload profile, see
+#: :func:`_em_cache_by_cell`) and returns whatever it computed fresh,
+#: which the parent merges back — so a repeated campaign never re-walks
+#: a cell, no matter the start method.
 _EM_CACHE: dict[tuple, "MethodResult"] = {}
 
 #: Optional durable tier under :data:`_EM_CACHE`: anything with the
@@ -167,11 +169,8 @@ def _em_reference(
 
 def _em_cache_key(spec, workload, space, size_mb: float, seed: int, refine):
     """The full cell identity every cache tier keys on."""
-    from ..machines.simulator import _resolve_workload
-
     return (
-        spec,
-        _resolve_workload(workload),
+        *_em_cell(spec, workload),
         space.signature(),
         float(size_mb),
         seed,
@@ -189,9 +188,38 @@ def _cache_lookup(key: tuple):
     return hit
 
 
-def _em_cache_snapshot() -> dict[tuple, "MethodResult"]:
-    """A picklable copy of the parent cache, used to pre-seed workers."""
-    return dict(_EM_CACHE)
+def _em_cell(spec, workload) -> tuple:
+    """The ``(platform spec, workload profile)`` prefix of a cache key."""
+    from ..machines.simulator import _resolve_workload
+
+    return (spec, _resolve_workload(workload))
+
+
+def _em_cache_by_cell() -> dict[tuple, dict[tuple, "MethodResult"]]:
+    """The parent cache grouped by :func:`_em_cell`, in one pass.
+
+    Each group is a picklable pre-seed for one fan-out job: it holds
+    every reference that job's cell can read — all of its spaces,
+    sizes, seeds and fidelities, including the coarse twin a
+    ``refine=`` miss warm-starts from — and nothing any other cell
+    owns, so a job's pickle and its merge-back stay cell-sized no
+    matter how many references the parent holds.
+    """
+    cells: dict[tuple, dict[tuple, "MethodResult"]] = {}
+    for key, value in _EM_CACHE.items():
+        cells.setdefault(key[:2], {})[key] = value
+    return cells
+
+
+def _em_cache_snapshot(spec, workload) -> dict[tuple, "MethodResult"]:
+    """The parent's references for one cell, used to pre-seed one job.
+
+    The single-job form of :func:`_em_cache_by_cell`: a filter on the
+    key prefix, which skips hashing every held key's platform spec
+    and workload profile.
+    """
+    cell = _em_cell(spec, workload)
+    return {key: value for key, value in _EM_CACHE.items() if key[:2] == cell}
 
 
 def _merge_em_entries(fresh: dict[tuple, "MethodResult"]) -> None:
@@ -486,8 +514,9 @@ def tune_platform(
 def _seed_and_diff_cache(seed_cache: dict[tuple, "MethodResult"]):
     """Pre-seed the worker cache; return a callable yielding fresh entries.
 
-    Fan-out workers start from the parent's cache snapshot so they never
-    re-walk a cell the parent already holds, and the returned closure
+    Fan-out workers start from the parent's references for *their own
+    cell* (:func:`_em_cache_snapshot`) so they never re-walk a cell the
+    parent already holds, and the returned closure
     diffs the cache afterwards so only *worker-computed* entries travel
     back over the pipe (merged by :func:`_merge_em_entries`).
     """
@@ -504,10 +533,12 @@ def _tune_platform_worker(
     Jobs carry the *resolved* :class:`~repro.machines.spec.PlatformSpec`
     (not a registry name): worker processes start from a fresh registry,
     so runtime-registered entries would not resolve by name there.
-    Returns the report plus any EM-cache entries this worker computed
-    fresh, so the parent can merge them back into its authoritative
-    cache (workers are throwaway processes; without the merge, a
-    repeated campaign would re-run every EM reference).
+    The job's seed cache holds only the parent's references for this
+    ``(platform, workload)`` cell.  Returns the report plus any
+    EM-cache entries this worker computed fresh, so the parent can
+    merge them back into its authoritative cache (workers are
+    throwaway processes; without the merge, a repeated campaign would
+    re-run every EM reference).
     """
     platform, kwargs, seed_cache = args
     fresh_entries = _seed_and_diff_cache(seed_cache)
@@ -550,9 +581,10 @@ def tune_campaign(
     ``options.processes > 1`` scores platforms concurrently over a
     process pool with identical results; ``options.start_method`` pins
     the pool's start method (default: safest available, see
-    :data:`~repro.core.pool.START_METHOD_PREFERENCE`).  Workers are
-    pre-seeded with the parent's EM-reference cache and their fresh
-    entries are merged back, so repeated campaigns never re-walk a cell.
+    :data:`~repro.core.pool.START_METHOD_PREFERENCE`).  Each worker is
+    pre-seeded with the parent's EM references for its own cell only
+    and its fresh entries are merged back, so repeated campaigns never
+    re-walk a cell and no job carries another cell's references.
     Dispatch is fault-tolerant (``options.retry``, see
     :func:`~repro.core.pool.run_tasks`): crashed or timed-out cells are
     re-dispatched and the run degrades to serial rather than aborting,
@@ -590,7 +622,8 @@ def tune_campaign(
         workload=workload,
         options=opts.for_cell(),
     )
-    jobs = [(spec, kwargs, _em_cache_snapshot()) for spec in specs]
+    cells = _em_cache_by_cell()
+    jobs = [(spec, kwargs, cells.get(_em_cell(spec, workload), {})) for spec in specs]
     outcomes, rstats = run_tasks(
         _tune_platform_worker,
         jobs,
@@ -788,7 +821,8 @@ def _tune_scenario_worker(
     names) so runtime-registered entries — ingested ``fasta:*``
     workloads above all — tune identically through worker processes,
     whose fresh registries could not resolve them by name.  Same
-    pre-seed / merge-back cache protocol as :func:`_tune_platform_worker`.
+    cell-scoped pre-seed / merge-back cache protocol as
+    :func:`_tune_platform_worker`.
     """
     workload, platform, kwargs, seed_cache = args
     fresh_entries = _seed_and_diff_cache(seed_cache)
@@ -829,7 +863,9 @@ def tune_matrix(
     the individual keywords remain as a compatibility layer.
     ``options.processes > 1`` fans whole cells out over a process pool
     with identical results, with the same start-method selection and
-    EM-cache merge-back protocol as :func:`tune_campaign`.  ``shards``
+    EM-cache merge-back protocol as :func:`tune_campaign`: the parent
+    cache is grouped by cell once and each job carries only its own
+    cell's references.  ``shards``
     / ``refine`` are the multi-device enumeration knobs (see
     :func:`tune_platform`).  ``size_mb`` overrides the per-workload
     input scale for every cell (mostly useful in tests).
@@ -862,7 +898,10 @@ def tune_matrix(
         seed=seed,
         options=opts.for_cell(),
     )
-    jobs = [(w, p, kwargs, _em_cache_snapshot()) for w in wspecs for p in pspecs]
+    cells = _em_cache_by_cell()
+    jobs = [
+        (w, p, kwargs, cells.get(_em_cell(p, w), {})) for w in wspecs for p in pspecs
+    ]
     outcomes, rstats = run_tasks(
         _tune_scenario_worker,
         jobs,

@@ -496,9 +496,11 @@ class CampaignServer:
         """One off-loop :func:`tune_scenario` run, store-integrated.
 
         Reuses the campaign layer's picklable fan-out worker and its
-        pre-seed / merge-back cache protocol verbatim: workers start
-        from the parent's EM-cache snapshot and their fresh entries are
-        merged (and persisted, via the bound store) on return.  The job
+        pre-seed / merge-back cache protocol verbatim: the worker starts
+        from the parent's EM references for *this cell only* — never the
+        whole held cache, which it would re-merge into the store on
+        every evaluation — and its fresh entries are merged (and
+        persisted, via the bound store) on return.  The job
         carries *resolved* specs, not names — process-pool workers have
         fresh registries, where the server's runtime-registered derived
         workloads would not resolve.
@@ -529,11 +531,13 @@ class CampaignServer:
                 ),
             ),
         )
+        workload = get_workload(cell.workload)
+        platform = resolve_platform(cell.platform)
         job = (
-            get_workload(cell.workload),
-            resolve_platform(cell.platform),
+            workload,
+            platform,
             kwargs,
-            campaign_mod._em_cache_snapshot(),
+            campaign_mod._em_cache_snapshot(platform, workload),
         )
         policy = self.retry
         label = f"{cell.workload}@{cell.platform}"

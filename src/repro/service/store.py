@@ -42,7 +42,11 @@ Concurrency: writes are single ``O_APPEND`` lines (atomic for this
 size on POSIX), duplicate records for the same key are deterministic-
 identical and first-one-wins at load, and :meth:`ResultStore.refresh`
 tails the file from the last read offset so long-lived processes see
-other writers' entries without re-parsing the whole file.
+other writers' entries without re-parsing the whole file.  Within one
+process, a lock serializes the read offset and the in-memory index, so
+threads tailing and writing one instance at once (a server's event
+loop and its executor threads) never adopt one chunk twice or land the
+offset mid-line.
 
 Crash safety: a writer killed mid-append leaves a *torn tail* — a
 partial line with no newline.  The first :meth:`ResultStore.refresh`
@@ -63,6 +67,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass
 
@@ -305,6 +310,8 @@ class ResultStore:
         self._meta: dict[tuple[str, str], dict] = {}
         self._offset = 0
         self._recovered = False  # flips after the first (crash-recovery) refresh
+        # Serializes refresh() (offset and adoption) with _put()'s index insert.
+        self._lock = threading.Lock()
         self.refresh()
 
     def __len__(self) -> int:
@@ -322,25 +329,29 @@ class ResultStore:
         an unterminated tail there is a crashed writer's torn line, so
         it is terminated with a newline and quarantined (a complete
         record that merely lost its newline is adopted instead).
+
+        Thread-safe: concurrent refreshes of one instance take turns,
+        so each chunk is read and adopted exactly once.
         """
-        initial = not self._recovered
-        self._recovered = True
-        if not os.path.exists(self.path):
-            return 0
-        with open(self.path, "rb") as fh:
-            fh.seek(self._offset)
-            chunk = fh.read()
-        end = chunk.rfind(b"\n")
-        adopted = 0
-        if end >= 0:
-            self._offset += end + 1
-            for line in chunk[: end + 1].splitlines():
-                if self._adopt_line(line):
-                    adopted += 1
-        tail = chunk[end + 1 :]
-        if tail and initial:
-            adopted += self._quarantine_torn_tail(tail)
-        return adopted
+        with self._lock:
+            initial = not self._recovered
+            self._recovered = True
+            if not os.path.exists(self.path):
+                return 0
+            with open(self.path, "rb") as fh:
+                fh.seek(self._offset)
+                chunk = fh.read()
+            end = chunk.rfind(b"\n")
+            adopted = 0
+            if end >= 0:
+                self._offset += end + 1
+                for line in chunk[: end + 1].splitlines():
+                    if self._adopt_line(line):
+                        adopted += 1
+            tail = chunk[end + 1 :]
+            if tail and initial:
+                adopted += self._quarantine_torn_tail(tail)
+            return adopted
 
     def _quarantine_torn_tail(self, tail: bytes) -> int:
         """Terminate a crashed writer's torn tail; adopt it if whole.
@@ -456,11 +467,12 @@ class ResultStore:
 
     def _put(self, kind: str, digest: str, meta: dict, payload: dict) -> bool:
         entry = (kind, digest)
-        if entry in self._entries:
-            self.stats.duplicates += 1
-            return False
-        self._entries[entry] = payload
-        self._meta[entry] = meta
+        with self._lock:
+            if entry in self._entries:
+                self.stats.duplicates += 1
+                return False
+            self._entries[entry] = payload
+            self._meta[entry] = meta
         self._append(
             {
                 "schema": self.schema_version,

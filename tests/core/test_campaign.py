@@ -7,6 +7,7 @@ import pytest
 from repro.core import platform_space, tune_campaign, tune_platform
 from repro.core.campaign import CampaignResult
 from repro.machines import MANYCORE, get_platform, platform_names
+from repro.machines.perfmodel import DNA_SCAN
 
 SIZE_MB = 600.0
 ITERS = 120
@@ -207,7 +208,8 @@ class TestEMCacheMergeBack:
         campaign.clear_em_cache()
         tune_platform("emil", **self._worker_kwargs())
         assert len(campaign._EM_CACHE) == 1
-        snapshot = campaign._em_cache_snapshot()
+        snapshot = campaign._em_cache_snapshot(get_platform("emil"), DNA_SCAN)
+        assert snapshot == campaign._EM_CACHE
         report, fresh = campaign._tune_platform_worker(
             ("emil", self._worker_kwargs(), snapshot)
         )
@@ -271,6 +273,40 @@ class TestEMCacheMergeBack:
         )
         assert [r.em_time for r in again] == [r.em_time for r in first]
         assert len(campaign._EM_CACHE) == 2
+        campaign.clear_em_cache()
+
+
+class TestCellScopedPreseed:
+    """Each fan-out job carries only its own cell's EM references."""
+
+    def test_jobs_hold_only_their_cells_references(self, monkeypatch):
+        from repro.core import campaign
+
+        campaign.clear_em_cache()
+        kwargs = dict(method="SAM", size_mb=SIZE_MB, iterations=ITERS)
+        tune_campaign(("emil", "fathost"), **kwargs)
+        # Same cell at another size, and an unrelated platform.
+        tune_platform("emil", **{**kwargs, "size_mb": 2 * SIZE_MB})
+        tune_platform("slowlink", **kwargs)
+        assert len(campaign._EM_CACHE) == 4
+
+        jobs = []
+        real = campaign.run_tasks
+
+        def spy(worker, batch, **options):
+            jobs.extend(batch)
+            return real(worker, batch, **options)
+
+        monkeypatch.setattr(campaign, "run_tasks", spy)
+        tune_campaign(("emil", "fathost"), **kwargs)
+
+        sizes = {}
+        for spec, _kwargs, seed_cache in jobs:
+            assert all(
+                key[0] == spec and key[1] == DNA_SCAN for key in seed_cache
+            ), spec.name
+            sizes[spec.name] = len(seed_cache)
+        assert sizes == {"Emil": 2, "FatHost": 1}
         campaign.clear_em_cache()
 
 

@@ -1,8 +1,10 @@
 """Workload x platform scenario matrices (core/campaign.py)."""
 
+import multiprocessing
+
 import pytest
 
-from repro.core import tune_matrix, tune_scenario
+from repro.core import campaign, tune_matrix, tune_scenario
 from repro.core.campaign import MatrixResult
 from repro.dna.workloads import SHORT_READ, get_workload
 
@@ -139,3 +141,106 @@ class TestTuneMatrix:
         ((sizes, data),) = grids
         assert sizes == training_sizes_for(SHORT_READ)
         assert data.host.X[:, -1].max() <= SHORT_READ.sequence_mb
+
+
+def capture_jobs(monkeypatch) -> list:
+    """Record every job the campaign module hands to ``run_tasks``."""
+    jobs = []
+    real = campaign.run_tasks
+
+    def spy(worker, batch, **options):
+        jobs.extend(batch)
+        return real(worker, batch, **options)
+
+    monkeypatch.setattr(campaign, "run_tasks", spy)
+    return jobs
+
+
+class TestCellScopedPreseed:
+    """Matrix jobs carry their own cell's EM references, nothing else."""
+
+    #: ``(workloads, platforms)`` axes of the matrix under test.
+    CELLS = (("dna-paper", "short-read"), ("emil", "dualphi"))
+    #: Axes of a disjoint matrix whose references are held throughout.
+    UNRELATED = (("dense-motif", "tiny-alphabet"), ("fathost", "slowlink"))
+
+    @pytest.fixture(autouse=True)
+    def clean_cache(self):
+        campaign.clear_em_cache()
+        yield
+        campaign.clear_em_cache()
+
+    def hold_unrelated(self):
+        for seed in (0, 1):
+            tune_matrix(*self.UNRELATED, method="SAM", iterations=ITERS, seed=seed)
+
+    def assert_cell_scoped(self, jobs):
+        assert len(jobs) == 4
+        for workload, platform, _kwargs, seed_cache in jobs:
+            cell = (platform, workload.profile())
+            assert seed_cache, f"{workload.name}@{platform.name} got no references"
+            assert all(key[:2] == cell for key in seed_cache)
+
+    def test_pooled_equals_serial_while_unrelated_references_are_held(
+        self, monkeypatch
+    ):
+        self.hold_unrelated()
+        serial = tune_matrix(*self.CELLS, method="SAM", iterations=ITERS, seed=0)
+        held = len(campaign._EM_CACHE)
+        jobs = capture_jobs(monkeypatch)
+        pooled = tune_matrix(
+            *self.CELLS, method="SAM", iterations=ITERS, seed=0, processes=2
+        )
+        assert pooled == serial
+        assert len(campaign._EM_CACHE) == held
+        self.assert_cell_scoped(jobs)
+        # Each job holds exactly its one reference, not all ``held``.
+        assert [len(job[3]) for job in jobs] == [1, 1, 1, 1]
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs fork so the tripwires reach the workers",
+    )
+    def test_refined_workers_warm_start_from_the_shipped_coarse_twin(
+        self, monkeypatch
+    ):
+        self.hold_unrelated()
+        tune_matrix(*self.CELLS, method="SAM", iterations=ITERS, seed=0)
+        real_em = campaign.run_em
+
+        def warm_only(*args, refine=None, coarse=None, **kwargs):
+            # A refined miss whose coarse twin reached the worker never
+            # walks the full simplex again.
+            if refine is not None and coarse is None:
+                raise AssertionError("cold refined walk despite a held coarse twin")
+            return real_em(*args, refine=refine, coarse=coarse, **kwargs)
+
+        real_seed = campaign._seed_and_diff_cache
+
+        def shipped_only(seed_cache):
+            # A forked worker inherits the parent's whole cache; start
+            # it from the shipped snapshot alone, as under spawn.
+            if multiprocessing.parent_process() is not None:
+                campaign.clear_em_cache()
+            return real_seed(seed_cache)
+
+        monkeypatch.setattr(campaign, "run_em", warm_only)
+        monkeypatch.setattr(campaign, "_seed_and_diff_cache", shipped_only)
+        refined = dict(method="SAM", iterations=ITERS, seed=0, refine=2.5)
+        serial = tune_matrix(*self.CELLS, **refined)
+        for key in [k for k in campaign._EM_CACHE if k[5] is not None]:
+            del campaign._EM_CACHE[key]  # keep only the coarse twins
+
+        jobs = capture_jobs(monkeypatch)
+        pooled = tune_matrix(
+            *self.CELLS, **refined, processes=2, start_method="fork"
+        )
+        assert pooled.reliability.crashes == 0
+        assert pooled == serial
+        assert [r.report.experiments for r in pooled] == [
+            r.report.experiments for r in serial
+        ]
+        self.assert_cell_scoped(jobs)
+        assert all(
+            any(key[5] is None for key in job[3]) for job in jobs
+        ), "a refined job lost its coarse twin"

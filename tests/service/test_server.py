@@ -146,6 +146,42 @@ class TestBitIdentity:
         assert decode_scenario(payload_of(events)["payload"]) == direct
 
 
+class TestCellScopedPreseed:
+    def test_evaluation_re_merges_only_its_own_cells_references(self, tmp_path):
+        from repro.core.campaign import _em_cache_key
+        from repro.core.params import workload_space
+        from repro.dna.workloads import get_workload
+        from repro.machines import get_platform
+
+        # The requested cell's own reference, plus K references of an
+        # unrelated cell (one result under K seeds' keys), all held in
+        # memory and already in the store the server opens.
+        tune_scenario(
+            "short-read", "emil", method="SAM", size_mb=SIZE_MB, iterations=ITERS
+        )
+        own = len(campaign._EM_CACHE)
+        spec, workload = get_platform("fathost"), get_workload("dense-motif")
+        space = workload_space(workload, spec)
+        result = campaign._em_reference(spec, workload, space, SIZE_MB, 0)
+        key = _em_cache_key(spec, workload, space, SIZE_MB, 0, None)
+        held = 24
+        for seed in range(1, held):
+            campaign._EM_CACHE[key[:4] + (seed, None)] = result
+        assert len(campaign._EM_CACHE) == own + held
+        store = ResultStore(tmp_path / "store.jsonl")
+        for k, v in campaign._EM_CACHE.items():
+            store.put_em(k, v)
+
+        async def scenario(server):
+            before = server.store.stats.duplicates
+            events = await submit_once(server)
+            return events, server.store.stats.duplicates - before
+
+        events, duplicates = serve(scenario, tmp_path)
+        assert payload_of(events)["source"] == "evaluate"
+        assert duplicates <= own < held
+
+
 class TestQuota:
     def test_quota_counts_led_evaluations_per_client(self, tmp_path):
         async def scenario(server):

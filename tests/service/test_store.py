@@ -1,5 +1,7 @@
 """The durable result store (service/store.py, service/serde.py)."""
 
+import threading
+
 import pytest
 
 from repro.core.campaign import _em_cache_key, tune_scenario
@@ -160,3 +162,60 @@ class TestDurability:
         assert reopened.count("scenario") == 1
         assert reopened.stats.corrupt == 0  # never parsed a partial line
         assert reopened.get_scenario(cell) == report
+
+
+class TestThreadSafety:
+    def test_concurrent_refresh_and_put_adopt_each_line_once(self, tmp_path):
+        """Threads tailing and writing one instance never tear its offset.
+
+        Two refreshes racing on one instance used to read the same
+        chunk and advance the offset twice, landing it mid-line: later
+        reads then quarantined half-lines of a file only this process
+        wrote.  Each line must be adopted (or, for this instance's own
+        records, counted as a duplicate) exactly once.
+        """
+        key, result = em_reference()
+        path = tmp_path / "s.jsonl"
+        store = ResultStore(path)
+        foreign = ResultStore(path)  # another process's instance
+        writers, per_writer = 3, 30
+
+        def keys(offset):
+            return [key[:4] + (offset + i, None) for i in range(per_writer)]
+
+        done = threading.Event()
+        start = threading.Barrier(writers + 3)
+
+        def write(target, offset):
+            start.wait()
+            for k in keys(offset):
+                target.put_em(k, result)
+
+        def tail():
+            start.wait()
+            while not done.is_set():
+                store.refresh()
+
+        own = [
+            threading.Thread(target=write, args=(store, 1000 * (w + 1)))
+            for w in range(writers)
+        ]
+        other = threading.Thread(target=write, args=(foreign, 0))
+        tails = [threading.Thread(target=tail) for _ in range(2)]
+        for t in own + [other] + tails:
+            t.start()
+        for t in own + [other]:
+            t.join()
+        done.set()
+        for t in tails:
+            t.join()
+        store.refresh()
+
+        assert store.stats.corrupt == 0
+        assert store.stats.puts == writers * per_writer
+        # Every own record is read back exactly once (a duplicate of
+        # the index entry _put made); every foreign one is adopted once.
+        assert store.stats.duplicates == writers * per_writer
+        assert len(store) == (writers + 1) * per_writer
+        assert store.get_em(key[:4] + (0, None)) == result
+        assert ResultStore(path).stats.corrupt == 0
