@@ -9,10 +9,13 @@ vectorized analytic core: EM space walks and training-grid generation
 pushed through the columnar perf-model/simulator path beat the faithful
 per-experiment scalar loops by well over an order of magnitude, again
 bit-identically (same best configuration, energies, tie-breaks, and
-noise draws).
+noise draws).  Boosted-tree fitting from presorted row orders beats the
+per-node-argsort reference with bit-identical models.
 """
 
+import importlib.util
 import time
+from pathlib import Path
 
 import numpy as np
 from conftest import run_once
@@ -37,6 +40,9 @@ MIN_BATCHED_SPEEDUP = 2.0  # acceptance floor; typically ~8-10x
 #: Acceptance floor for the vectorized analytic core (ISSUE 4); the EM
 #: walk typically lands ~100x and the training grid ~20-30x.
 MIN_VECTORIZED_SPEEDUP = 10.0
+#: Acceptance floor for presorted tree fitting over the per-node-argsort
+#: reference on the paper cell's training half.
+MIN_FIT_SPEEDUP = 2.0
 
 
 def test_engine_throughput(benchmark, ctx):
@@ -174,6 +180,65 @@ def test_training_grid_throughput(benchmark):
         title=f"training-grid generation, {n} experiments",
     ))
     assert t_scalar / t_fast >= MIN_VECTORIZED_SPEEDUP
+
+
+def _reference_tree():
+    """The test suite's per-node-argsort oracle, ``tests/ml/reference_tree.py``."""
+    path = Path(__file__).resolve().parents[1] / "tests" / "ml" / "reference_tree.py"
+    spec = importlib.util.spec_from_file_location("reference_tree", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_training_fit_throughput(benchmark):
+    """Boosted fit: per-node argsort reference vs presorted row orders.
+
+    Both fit the paper's default predictor (300 depth-6 trees) on the
+    host training half of dna-paper@Emil; the models must be
+    bit-identical, tree by tree and stage loss by stage loss.
+    """
+    from repro.core.training import default_model_factory
+    from repro.ml import half_split
+
+    ref = _reference_tree()
+    ds = ref.dna_paper_emil_grid().host
+    train_idx, _ = half_split(len(ds), seed=0)
+    X, y = ds.X[train_idx], ds.y[train_idx]
+
+    def timed(fit):
+        t0 = time.perf_counter()
+        model = fit()
+        return time.perf_counter() - t0, model
+
+    def compare():
+        # Best of two alternating rounds: each fit takes seconds, so one
+        # background hiccup would otherwise swing the ratio.
+        t_ref = t_fast = float("inf")
+        for _ in range(2):
+            dt, expected = timed(
+                lambda: ref.reference_boosted_fit(default_model_factory(), X, y)
+            )
+            t_ref = min(t_ref, dt)
+            dt, model = timed(lambda: default_model_factory().fit(X, y))
+            t_fast = min(t_fast, dt)
+            assert ref.models_equal(model, expected)
+        return t_ref, t_fast, len(model.trees_)
+
+    t_ref, t_fast, n_trees = run_once(benchmark, compare)
+    benchmark.extra_info["training_fit_speedup"] = t_ref / t_fast
+    benchmark.extra_info["training_fit_trees_per_s"] = n_trees / t_fast
+    print()
+    print(render_table(
+        ["path", "time [ms]", "trees/s", "speedup"],
+        [
+            ("per-node argsort", round(1e3 * t_ref, 1), round(n_trees / t_ref), 1.0),
+            ("presorted orders", round(1e3 * t_fast, 1), round(n_trees / t_fast),
+             round(t_ref / t_fast, 2)),
+        ],
+        title=f"boosted fit, {n_trees} trees on {len(X)} rows",
+    ))
+    assert t_ref / t_fast >= MIN_FIT_SPEEDUP
 
 
 def _rows(X, side):

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tree import _LEAF, RegressionTree
+from .tree import _LEAF, RegressionTree, presort
+
+#: Rows per block in :meth:`BoostedDecisionTreeRegressor.predict`.
+PREDICT_BLOCK_ROWS = 256
 
 
 class BoostedDecisionTreeRegressor:
@@ -66,25 +69,11 @@ class BoostedDecisionTreeRegressor:
             raise ValueError("X and y length mismatch")
         if len(X) == 0:
             raise ValueError("cannot fit on an empty dataset")
-        rng = np.random.default_rng(self.seed)
         self.base_prediction_ = float(y.mean())
         self.trees_ = []
         self.train_loss_ = []
         current = np.full(len(y), self.base_prediction_)
-        n_sub = max(1, int(round(self.subsample * len(y))))
-        for _ in range(self.n_estimators):
-            residual = y - current
-            if self.subsample < 1.0:
-                rows = rng.choice(len(y), size=n_sub, replace=False)
-            else:
-                rows = slice(None)
-            tree = RegressionTree(
-                max_depth=self.max_depth, min_samples_leaf=self.min_samples_leaf
-            )
-            tree.fit(X[rows], residual[rows])
-            current = current + self.learning_rate * tree.predict(X)
-            self.trees_.append(tree)
-            self.train_loss_.append(float(np.mean((y - current) ** 2)))
+        self._boost(X, y, current, self.n_estimators)
         self._packed = None
         return self
 
@@ -123,23 +112,37 @@ class BoostedDecisionTreeRegressor:
         model.base_prediction_ = self.base_prediction_
         model.trees_ = list(self.trees_)
         model.train_loss_ = list(self.train_loss_)
+        model._boost(X, y, self.predict(X), n_stages)
+        return model
+
+    def _boost(self, X: np.ndarray, y: np.ndarray, current: np.ndarray, n_stages: int) -> None:
+        """Append ``n_stages`` stages fitted to the residuals of ``current``.
+
+        Without subsampling every stage fits the same ``X``, so its
+        columns are sorted once here and each tree reports its training
+        rows' leaves, which update ``current`` without a descent.
+        """
         rng = np.random.default_rng(self.seed)
-        current = self.predict(X)
         n_sub = max(1, int(round(self.subsample * len(y))))
+        subsampled = self.subsample < 1.0
+        if not subsampled:
+            orders = presort(X)
+            leaves = np.empty(len(y), dtype=np.intp)
         for _ in range(n_stages):
             residual = y - current
-            if self.subsample < 1.0:
-                rows = rng.choice(len(y), size=n_sub, replace=False)
-            else:
-                rows = slice(None)
             tree = RegressionTree(
                 max_depth=self.max_depth, min_samples_leaf=self.min_samples_leaf
             )
-            tree.fit(X[rows], residual[rows])
-            current = current + self.learning_rate * tree.predict(X)
-            model.trees_.append(tree)
-            model.train_loss_.append(float(np.mean((y - current) ** 2)))
-        return model
+            if subsampled:
+                rows = rng.choice(len(y), size=n_sub, replace=False)
+                tree.fit(X[rows], residual[rows])
+                step = tree.predict(X)
+            else:
+                tree.fit(X, residual, orders=orders, leaves=leaves)
+                step = tree.value[leaves]
+            current = current + self.learning_rate * step
+            self.trees_.append(tree)
+            self.train_loss_.append(float(np.mean((y - current) ** 2)))
 
     def _pack(self) -> tuple:
         """Flatten the ensemble into (trees x nodes) arrays for batch descent.
@@ -174,17 +177,25 @@ class BoostedDecisionTreeRegressor:
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predict targets for a batch of rows.
 
-        All trees descend simultaneously over the packed representation
-        (one gather per depth level for the whole ensemble), which is
-        what makes whole-batch evaluation through
-        :class:`~repro.core.engine.BatchedEngine` pay off.  Values are
-        bit-identical to per-tree descent: same leaves, and the
-        per-stage accumulation below preserves the summation order of
+        Rows go through in blocks of :data:`PREDICT_BLOCK_ROWS`; within a
+        block all trees descend simultaneously over the packed
+        representation (one gather per depth level for the whole
+        ensemble).  Transient memory is therefore bounded by
+        ``trees x PREDICT_BLOCK_ROWS`` whatever the batch size.  Values
+        are bit-identical to per-tree descent: same leaves, and the
+        per-stage accumulation preserves the summation order of
         :meth:`predict_one`.
         """
         if self.base_prediction_ is None:
             raise RuntimeError("predict called before fit")
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        out = np.empty(len(X))
+        for start in range(0, len(X), PREDICT_BLOCK_ROWS):
+            block = slice(start, start + PREDICT_BLOCK_ROWS)
+            out[block] = self._predict_block(X[block])
+        return out
+
+    def _predict_block(self, X: np.ndarray) -> np.ndarray:
         feature, threshold, left, right, value, depth = self._pack()
         n = len(X)
         nodes = np.zeros((len(self.trees_), n), dtype=np.int32)

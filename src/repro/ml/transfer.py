@@ -450,11 +450,12 @@ def _fit_warm(donor: CellModels, data, stages: int, seed: int):
     return out["host"], out["device"]
 
 
-def evaluate_models(models: CellModels, data) -> dict[str, EvalResult]:
+def evaluate_models(models: CellModels, data, *, seed: int = 0) -> dict[str, EvalResult]:
     """Held-out evaluation of a model pair on a grid's test halves.
 
     Same protocol as :func:`~repro.core.training.train_models`: each
-    side's metrics come from the half the fit never saw.
+    side's metrics come from the half the fit never saw, so ``seed`` must
+    be the cell seed the models were trained with.
     """
     from .metrics import mean_absolute_error, mean_percent_error
 
@@ -463,7 +464,7 @@ def evaluate_models(models: CellModels, data) -> dict[str, EvalResult]:
         ("host", data.host, models.host_model),
         ("device", data.device, models.device_model),
     ):
-        _train_idx, test_idx = half_split(len(ds), seed=0)
+        _train_idx, test_idx = half_split(len(ds), seed=seed)
         pred = model.predict(ds.X[test_idx])
         truth = ds.y[test_idx]
         out[side] = EvalResult(

@@ -1,11 +1,14 @@
 """CART regression tree, the base learner of the boosted model.
 
 Implemented from scratch (no scikit-learn offline) with the standard
-variance-reduction split criterion.  The split search is vectorized:
-for every feature the candidate thresholds are the sorted unique
-midpoints and the SSE reduction of *all* of them is evaluated with one
-pair of prefix-sum passes, so fitting is ``O(features * n log n)`` per
-node.
+variance-reduction split criterion.  Each feature is sorted once per
+fit (:func:`presort`; a boosting run shares one sort across all its
+stages).  A node holds its rows in every feature's stable sort order
+and hands each child a filtered copy, which is exactly the child's own
+stable argsort.  One prefix-sum pass then scores the candidate
+thresholds (the midpoints between distinct sorted values) of all
+features at once, so a node costs ``O(features * n)`` instead of the
+``O(features * n log n)`` of re-sorting it.
 
 The fitted tree is stored flat (arrays of feature/threshold/children/
 value) which makes batch prediction a short loop over tree depth rather
@@ -14,18 +17,18 @@ than Python recursion per sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 _LEAF = -1
 
 
-@dataclass
-class _Frame:
-    node: int
-    idx: np.ndarray
-    depth: int
+def presort(X: np.ndarray) -> np.ndarray:
+    """Stable argsort of every column of ``X``, as a (features x n) array.
+
+    Row ``f`` lists the row indices in ascending order of ``X[:, f]``,
+    ties by row index.  The root node of a fit on ``X`` starts from it.
+    """
+    return np.argsort(X.T, axis=1, kind="stable")
 
 
 class RegressionTree:
@@ -65,45 +68,23 @@ class RegressionTree:
 
     # -- fitting -----------------------------------------------------------
 
-    def _best_split(
-        self, X: np.ndarray, y: np.ndarray, idx: np.ndarray
-    ) -> tuple[int, float, np.ndarray, np.ndarray] | None:
-        """Best (feature, threshold, left_idx, right_idx) or None."""
-        n = len(idx)
-        y_node = y[idx]
-        sum_total = y_node.sum()
-        best_gain = 1e-12  # require strictly positive SSE reduction
-        best: tuple[int, float, np.ndarray, np.ndarray] | None = None
-        parent_sse_term = sum_total * sum_total / n
+    def fit(
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        *,
+        orders: np.ndarray | None = None,
+        leaves: np.ndarray | None = None,
+    ) -> "RegressionTree":
+        """Fit the tree; returns self.
 
-        for f in range(X.shape[1]):
-            x = X[idx, f]
-            order = np.argsort(x, kind="stable")
-            xs, ys = x[order], y_node[order]
-            # Candidate split after position i (left = [0..i]); valid only
-            # where the feature value actually changes.
-            csum = np.cumsum(ys)[:-1]
-            counts = np.arange(1, n)
-            valid = xs[1:] != xs[:-1]
-            k = self.min_samples_leaf
-            if k > 1:
-                valid &= (counts >= k) & (n - counts >= k)
-            if not valid.any():
-                continue
-            left_term = csum**2 / counts
-            right_term = (sum_total - csum) ** 2 / (n - counts)
-            gain = left_term + right_term - parent_sse_term
-            gain[~valid] = -np.inf
-            i = int(np.argmax(gain))
-            if gain[i] > best_gain:
-                best_gain = float(gain[i])
-                thr = 0.5 * (xs[i] + xs[i + 1])
-                left_mask = x <= thr
-                best = (f, float(thr), idx[left_mask], idx[~left_mask])
-        return best
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "RegressionTree":
-        """Fit the tree; returns self."""
+        ``orders`` is :func:`presort` of ``X``; pass it to share one
+        sort between several fits on the same design matrix.  ``leaves``,
+        if given, is a length-``n`` integer array that receives the leaf
+        node of every training row (what :meth:`predict` would return
+        the value of), so a caller that needs the fitted values on ``X``
+        need not descend the tree again.
+        """
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if X.ndim != 2:
@@ -112,6 +93,15 @@ class RegressionTree:
             raise ValueError("X and y length mismatch")
         if len(X) == 0:
             raise ValueError("cannot fit on an empty dataset")
+        if orders is None:
+            orders = presort(X)
+        if leaves is None:
+            leaves = np.empty(len(X), dtype=np.intp)
+        XT = X.T
+        n_features = X.shape[1]
+        feature_rows = np.arange(n_features)[:, None]
+        k = self.min_samples_leaf
+        in_left = np.zeros(len(X), dtype=bool)
 
         feature: list[int] = []
         threshold: list[float] = []
@@ -127,23 +117,61 @@ class RegressionTree:
             value.append(0.0)
             return len(feature) - 1
 
-        stack = [_Frame(new_node(), np.arange(len(X)), 0)]
+        # Frames: (node, rows ascending, rows in each feature's stable
+        # sort order as a (features x n) array, depth).
+        stack = [(new_node(), np.arange(len(X)), orders, 0)]
         while stack:
-            fr = stack.pop()
-            node, idx, depth = fr.node, fr.idx, fr.depth
-            value[node] = float(y[idx].mean())
-            if depth >= self.max_depth or len(idx) < self.min_samples_split:
+            node, idx, ords, depth = stack.pop()
+            n = len(idx)
+            # Ascending-row sum, so the pairwise summation (and hence
+            # mean()) is unchanged; sum / n is bitwise mean().
+            sum_total = y[idx].sum()
+            value[node] = float(sum_total / n)
+            if depth >= self.max_depth or n < self.min_samples_split:
+                leaves[idx] = node
                 continue
-            split = self._best_split(X, y, idx)
-            if split is None:
+            # Candidate split after sorted position i (left = [0..i]);
+            # valid only where the feature value changes and both
+            # children keep min_samples_leaf rows.
+            xs = XT[feature_rows, ords]
+            valid = xs[:, 1:] != xs[:, :-1]
+            if k > 1:
+                valid[:, : k - 1] = False
+                valid[:, n - k :] = False
+            f_cand, i_cand = np.nonzero(valid)
+            if len(i_cand) == 0:
+                leaves[idx] = node
                 continue
-            f, thr, li, ri = split
+            csum = np.cumsum(y[ords], axis=1)[f_cand, i_cand]
+            counts = i_cand + 1
+            gain = (
+                csum**2 / counts
+                + (sum_total - csum) ** 2 / (n - counts)
+                - sum_total * sum_total / n
+            )
+            # First maximum in (feature, position) order.
+            best = int(np.argmax(gain))
+            if not gain[best] > 1e-12:  # require strictly positive SSE reduction
+                leaves[idx] = node
+                continue
+            f, i = int(f_cand[best]), int(i_cand[best])
+            thr = float(0.5 * (xs[f, i] + xs[f, i + 1]))
+            go_left = X[idx, f] <= thr
+            # A stable filter of the parent's orders is each child's own
+            # stable argsort, ties still broken by row index.
+            in_left[idx] = go_left
+            ords_left = in_left[ords]
+            n_left = int(np.count_nonzero(go_left))
             feature[node] = f
             threshold[node] = thr
             lnode, rnode = new_node(), new_node()
             left[node], right[node] = lnode, rnode
-            stack.append(_Frame(lnode, li, depth + 1))
-            stack.append(_Frame(rnode, ri, depth + 1))
+            stack.append(
+                (lnode, idx[go_left], ords[ords_left].reshape(n_features, n_left), depth + 1)
+            )
+            stack.append(
+                (rnode, idx[~go_left], ords[~ords_left].reshape(n_features, n - n_left), depth + 1)
+            )
 
         self.feature = np.array(feature, dtype=np.int32)
         self.threshold = np.array(threshold, dtype=np.float64)

@@ -1,9 +1,57 @@
 """Boosted decision tree regression."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
+from reference_tree import (
+    TREE_ARRAYS,
+    dna_paper_emil_grid,
+    models_equal,
+    reference_boosted_fit,
+    reference_continue_fit,
+)
 
-from repro.ml import BoostedDecisionTreeRegressor, RegressionTree
+from repro.core.training import default_model_factory, train_models
+from repro.ml import BoostedDecisionTreeRegressor, RegressionTree, half_split
+
+#: sha256 of the default-factory host + device models of dna-paper@Emil,
+#: seed 0 (see :func:`model_digest`).  Stored ``models`` records are keyed
+#: by training inputs, not by fit code, so a fit change that moves this
+#: digest would silently orphan them: it must come with a
+#: ``STORE_SCHEMA_VERSION`` bump.
+GOLDEN_EMIL_MODELS_SHA256 = "fd926392d20c9e7950db844ef0134cd2afe8d907826d27fd5cbe649373f92720"
+
+
+def model_digest(models) -> str:
+    """sha256 over every tree's flat arrays, base prediction and losses."""
+    h = hashlib.sha256()
+    for model in models:
+        for tree in model.trees_:
+            for name in TREE_ARRAYS:
+                h.update(getattr(tree, name).tobytes())
+        h.update(np.float64(model.base_prediction_).tobytes())
+        h.update(np.asarray(model.train_loss_, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def emil_grid():
+    return dna_paper_emil_grid()
+
+
+@pytest.fixture(scope="module")
+def emil_trained(emil_grid):
+    return train_models(emil_grid, seed=0)
+
+
+@pytest.fixture(scope="module")
+def emil_host_halves(emil_grid):
+    """(train X, train y, held-out X, held-out y) of the host side."""
+    ds = emil_grid.host
+    train_idx, test_idx = half_split(len(ds), seed=0)
+    return ds.X[train_idx], ds.y[train_idx], ds.X[test_idx], ds.y[test_idx]
 
 
 def make_data(n=400, seed=0):
@@ -82,3 +130,60 @@ class TestPredict:
         m = BoostedDecisionTreeRegressor(n_estimators=1, learning_rate=0.5).fit(X, y)
         expected = y.mean() + 0.5 * m.trees_[0].predict(X)
         assert np.allclose(m.predict(X), expected)
+
+
+class TestRealCell:
+    """The paper's cell: fitted models are pinned, and bit-identical to the
+    per-node-argsort reference for every boosting path."""
+
+    def test_golden_model_digest(self, emil_trained):
+        models = (emil_trained.host_model, emil_trained.device_model)
+        assert model_digest(models) == GOLDEN_EMIL_MODELS_SHA256
+
+    def test_fit_matches_reference(self, emil_trained, emil_host_halves):
+        X, y, _, _ = emil_host_halves
+        expected = reference_boosted_fit(default_model_factory(), X, y)
+        assert models_equal(emil_trained.host_model, expected)
+
+    def test_continue_fit_matches_reference(self, emil_trained, emil_host_halves):
+        # Continue the fitted model on the other half: new data, as in a
+        # transfer warm start.
+        _, _, X, y = emil_host_halves
+        donor = emil_trained.host_model
+        assert models_equal(
+            donor.continue_fit(X, y, 60), reference_continue_fit(donor, X, y, 60)
+        )
+
+    def test_subsampled_fit_matches_reference(self, emil_host_halves):
+        X, y, _, _ = emil_host_halves
+        model = BoostedDecisionTreeRegressor(
+            n_estimators=300, learning_rate=0.08, max_depth=6, min_samples_leaf=2,
+            subsample=0.7,
+        )
+        expected = reference_boosted_fit(model, X, y)
+        assert models_equal(model.fit(X, y), expected)
+
+
+class TestBoundedPredict:
+    def test_blocked_batch_equals_single_rows(self, emil_trained, emil_grid):
+        rng = np.random.default_rng(0)
+        X = emil_grid.host.X[rng.integers(0, len(emil_grid.host), 4096)]
+        X = X * rng.uniform(0.9, 1.1, X.shape)  # land between thresholds too
+        model = emil_trained.host_model
+        batch = model.predict(X)
+        single = np.concatenate([model.predict(row) for row in X])
+        assert np.array_equal(batch, single)
+
+    def test_transient_memory_is_bounded(self, emil_trained, emil_host_halves):
+        _, _, X, _ = emil_host_halves
+        model = emil_trained.host_model
+        model.predict(X[:1])  # the packed ensemble is a one-off cache
+        tracemalloc.start()
+        try:
+            model.predict(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Descending 300 trees x 1440 rows at once peaks at ~12 MB.
+        assert len(X) == 1440
+        assert peak < 5 * 2**20

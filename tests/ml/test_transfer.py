@@ -9,6 +9,7 @@ from repro.core.params import workload_space
 from repro.core.training import (
     TRAINING_FRACTIONS,
     generate_training_data,
+    train_models,
     training_sizes_for,
 )
 from repro.dna.workloads import get_workload
@@ -220,6 +221,16 @@ class TestCellModels:
             assert warm_eval[side].mean_percent_error < (
                 cold_eval[side].mean_percent_error + 2.0
             )
+
+    def test_evaluation_holds_out_the_cell_seed_split(self, short_read_grid):
+        # A seed-3 cell trains on half_split(seed=3); evaluating it on the
+        # seed-0 test half would score rows the fit saw.
+        trained = train_models(short_read_grid, seed=3)
+        held_out = evaluate_models(trained, short_read_grid, seed=3)
+        for side, own in (("host", trained.host_eval), ("device", trained.device_eval)):
+            assert held_out[side].mean_absolute_error_s == own.mean_absolute_error_s
+            assert held_out[side].mean_percent_error == own.mean_percent_error
+            assert held_out[side].n_test == own.n_test
 
     def test_memory_cache_returns_the_same_models(self):
         first = cell_models(EMIL, SHORT_READ, transfer=True)

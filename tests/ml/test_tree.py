@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from reference_tree import TREE_ARRAYS, reference_tree_fit
 
 from repro.ml import RegressionTree
+from repro.ml.tree import presort
 
 
 class TestFit:
@@ -97,3 +100,59 @@ class TestPredict:
         X = np.arange(10, dtype=float).reshape(-1, 1)
         tree = RegressionTree().fit(X, X[:, 0])
         assert tree.predict(np.array([5.0])).shape == (1,)
+
+
+@st.composite
+def design(draw):
+    """(X, y) with the value structure the split search must get right:
+    constant, binary, few-valued (heavy ties) and continuous columns,
+    and targets that are either continuous or tie-prone integers."""
+    n = draw(st.integers(1, 300))
+    n_features = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for kind in draw(st.lists(
+        st.sampled_from(["constant", "binary", "few", "continuous"]),
+        min_size=n_features, max_size=n_features,
+    )):
+        if kind == "constant":
+            columns.append(np.full(n, rng.normal()))
+        elif kind == "binary":
+            columns.append(rng.integers(0, 2, n).astype(float))
+        elif kind == "few":
+            columns.append(rng.integers(0, draw(st.integers(2, 8)), n) * 0.5)
+        else:
+            columns.append(rng.normal(size=n))
+    if draw(st.booleans()):
+        y = rng.integers(0, 4, n).astype(float)
+    else:
+        y = rng.normal(size=n)
+    return np.column_stack(columns), y
+
+
+class TestReferenceEquivalence:
+    """The presorted fit reproduces the per-node-argsort reference exactly:
+    same flat arrays, node numbering and tie-breaking included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=design(),
+        max_depth=st.integers(0, 6),
+        min_samples_leaf=st.sampled_from([1, 2, 3, 7]),
+    )
+    def test_flat_arrays_match_reference(self, data, max_depth, min_samples_leaf):
+        X, y = data
+        params = dict(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+        expected = reference_tree_fit(X, y, **params)
+        leaves = np.empty(len(X), dtype=np.intp)
+        tree = RegressionTree(**params).fit(X, y, leaves=leaves)
+        for name in TREE_ARRAYS:
+            ours, theirs = getattr(tree, name), getattr(expected, name)
+            assert ours.dtype == theirs.dtype, name
+            assert np.array_equal(ours, theirs), name
+        # The reported leaves are where predict() sends the training rows.
+        assert np.array_equal(tree.value[leaves], tree.predict(X))
+
+    def test_presort_breaks_ties_by_row(self):
+        X = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+        assert presort(X).tolist() == [[1, 3, 0, 2], [0, 1, 2, 3]]
