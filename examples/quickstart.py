@@ -10,7 +10,7 @@ device-only baselines and the exhaustive-enumeration optimum.
 Run:  python examples/quickstart.py
 """
 
-from repro import WorkDistributionTuner
+from repro import TuningOptions, WorkDistributionTuner
 
 def main() -> None:
     tuner = WorkDistributionTuner(seed=0)
@@ -23,13 +23,15 @@ def main() -> None:
 
     size_mb = 3170.0  # the human genome of the paper's evaluation
     print(f"Tuning for a {size_mb:g} MB workload with SAML (1000 iterations)...")
-    # Batched evaluation: `engine` picks how candidate configurations are
-    # scored — "serial" (one call each), "cached" (memoize annealing
-    # revisits), "batched" (vectorized ML predictions / process pool), or
-    # "cached+batched".  Results are identical across engines for the
+    # Batched evaluation: the options' `engine` picks how candidate
+    # configurations are scored — "serial" (one call each), "cached"
+    # (memoize annealing revisits), "batched" (vectorized ML predictions),
+    # or "cached+batched".  Results are identical across engines for the
     # deterministic evaluators used here; only throughput differs.  See
     # src/repro/core/engine.py and the README's "Batched evaluation".
-    outcome = tuner.tune(size_mb, method="SAML", iterations=1000, engine="cached")
+    outcome = tuner.tune(
+        size_mb, method="SAML", iterations=1000, options=TuningOptions(engine="cached")
+    )
 
     cfg = outcome.config
     print(f"  suggested configuration : {cfg.describe()}")

@@ -58,7 +58,6 @@ from .core import (
     TuningOptions,
     TuningOutcome,
     WorkDistributionTuner,
-    resolve_options,
     platform_space,
     run_em,
     run_eml,
@@ -110,7 +109,6 @@ __all__ = [
     "TuningOptions",
     "TuningOutcome",
     "WorkDistributionTuner",
-    "resolve_options",
     "MatrixResult",
     "ScenarioReport",
     "platform_space",

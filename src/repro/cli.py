@@ -685,6 +685,7 @@ def _run_submit(args, workload, platform) -> int:
     from .service.client import submit as service_submit
     from .service.serde import decode_scenario
 
+    options = _cli_options(args)
     request = SubmitRequest(
         client=args.client,
         workloads=_split_csv(args.workloads) or (workload.name,),
@@ -693,11 +694,11 @@ def _run_submit(args, workload, platform) -> int:
         size_mb=args.size_mb,
         iterations=args.iterations,
         seed=args.seed,
-        engine=args.engine if args.engine is not None else "cached+batched",
-        batch_size=args.batch_size,
-        shards=args.shards,
-        refine=args.refine,
-        transfer=args.transfer,
+        engine=options.engine,
+        batch_size=options.batch_size,
+        shards=options.shards,
+        refine=options.refine,
+        transfer=options.transfer,
         portfolio=args.portfolio,
     )
 
@@ -947,15 +948,13 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 
-    engine = None
-    if args.engine is not None:
-        from .core.engine import make_engine
-
-        try:
-            engine = make_engine(args.engine, batch_size=args.batch_size)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    try:
+        # ``tune`` and the fig9/table studies evaluate directly unless
+        # ``--engine`` names a backend.
+        engine = _cli_options(args, engine_default=None).engine_instance()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     t0 = time.time()
     want = args.artifact

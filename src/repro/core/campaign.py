@@ -53,9 +53,8 @@ from ..machines.perfmodel import DNA_SCAN, WorkloadProfile
 from ..machines.registry import get_platform, platform_names, resolve_platform
 from ..machines.simulator import PlatformSimulator
 from ..machines.spec import PlatformSpec
-from .engine import EvaluationEngine
 from .methods import run_em, run_method
-from .options import UNSET, TuningOptions, resolve_options
+from .options import TuningOptions
 from .portfolio import ML_ENTRANTS, PortfolioResult
 from .params import (
     SystemConfiguration,
@@ -372,10 +371,6 @@ def tune_platform(
     seed: int = 0,
     workload: WorkloadProfile | WorkloadSpec | str = DNA_SCAN,
     options: TuningOptions | None = None,
-    engine=UNSET,
-    batch_size=UNSET,
-    shards=UNSET,
-    refine=UNSET,
 ) -> PlatformTuneReport:
     """Tune one platform and compare against its enumeration optimum.
 
@@ -391,10 +386,7 @@ def tune_platform(
     method itself consumed.
 
     Execution knobs arrive as one :class:`~repro.core.options.TuningOptions`
-    (``options=``); the ``engine`` / ``batch_size`` / ``shards`` /
-    ``refine`` keywords remain as a compatibility layer — passing one
-    explicitly overrides the corresponding ``options`` field (see
-    :func:`~repro.core.options.resolve_options`).  ``shards`` /
+    (``options=``, ``None`` for the defaults).  Its ``shards`` /
     ``refine`` are the multi-device enumeration knobs (see
     :func:`~repro.core.enumeration.enumerate_best_separable`); a
     direct call with ``options.processes`` set fans the enumeration
@@ -402,9 +394,7 @@ def tune_platform(
     :meth:`~repro.core.options.TuningOptions.for_cell` so cell fan-out
     never nests pools).
     """
-    opts = resolve_options(
-        options, engine=engine, batch_size=batch_size, shards=shards, refine=refine
-    )
+    opts = options or TuningOptions()
     spec = resolve_platform(platform)
     method = method.upper()
     if method in ML_METHODS:
@@ -490,7 +480,7 @@ def tune_platform(
             device_cfg.device_threads, device_cfg.device_affinity, size_mb
         )
 
-    stats = engine_obj.stats if isinstance(engine_obj, EvaluationEngine) else None
+    stats = engine_obj.stats if engine_obj is not None else None
     return PlatformTuneReport(
         platform=spec.name,
         description=spec.description,
@@ -546,6 +536,28 @@ def _tune_platform_worker(
     return report, fresh_entries()
 
 
+def _fan_out(worker, jobs: list, opts: TuningOptions) -> tuple[tuple, RetryStats]:
+    """Dispatch fan-out jobs under ``opts``' pool knobs, merging EM entries back.
+
+    The shared tail of :func:`tune_campaign` and :func:`tune_matrix`:
+    every job's fresh EM references join the parent cache (see
+    :func:`_merge_em_entries`); returns the reports in job order plus
+    the dispatch ledger.
+    """
+    outcomes, rstats = run_tasks(
+        worker,
+        jobs,
+        processes=opts.processes,
+        start_method=opts.start_method,
+        policy=opts.retry,
+    )
+    reports = []
+    for report, fresh in outcomes:
+        _merge_em_entries(fresh)
+        reports.append(report)
+    return tuple(reports), rstats
+
+
 def tune_campaign(
     platforms: tuple[str, ...] | list[str] | None = None,
     *,
@@ -555,12 +567,6 @@ def tune_campaign(
     seed: int = 0,
     workload: WorkloadProfile | WorkloadSpec | str = DNA_SCAN,
     options: TuningOptions | None = None,
-    engine=UNSET,
-    batch_size=UNSET,
-    shards=UNSET,
-    refine=UNSET,
-    processes=UNSET,
-    start_method=UNSET,
 ) -> CampaignResult:
     """Run one tuning method across a fleet of registered platforms.
 
@@ -571,16 +577,13 @@ def tune_campaign(
     (see :func:`tune_platform`); use :func:`tune_matrix` to cross the
     whole workload registry with the fleet.
 
-    Execution knobs arrive as one :class:`~repro.core.options.TuningOptions`;
-    the individual keywords remain as a compatibility layer (explicitly
-    passed keywords override ``options`` fields).  An ``engine`` *name*
-    gives each platform a fresh instance so batch/cache statistics stay
-    per-platform; an :class:`~repro.core.engine.EvaluationEngine`
-    instance is shared across serial cells (with process fan-out each
-    worker gets a pickled copy, so its statistics stay in the worker).
-    ``options.processes > 1`` scores platforms concurrently over a
-    process pool with identical results; ``options.start_method`` pins
-    the pool's start method (default: safest available, see
+    Execution knobs arrive as one :class:`~repro.core.options.TuningOptions`
+    (``options=``, ``None`` for the defaults).  Each platform builds its
+    own engine from ``options.engine``, so batch/cache statistics stay
+    per-platform.  ``options.processes > 1`` scores platforms
+    concurrently over a process pool with identical results;
+    ``options.start_method`` pins the pool's start method (default:
+    safest available, see
     :data:`~repro.core.pool.START_METHOD_PREFERENCE`).  Each worker is
     pre-seeded with the parent's EM references for its own cell only
     and its fresh entries are merged back, so repeated campaigns never
@@ -590,15 +593,7 @@ def tune_campaign(
     re-dispatched and the run degrades to serial rather than aborting,
     with the ledger on the result's ``reliability`` field.
     """
-    opts = resolve_options(
-        options,
-        engine=engine,
-        batch_size=batch_size,
-        shards=shards,
-        refine=refine,
-        processes=processes,
-        start_method=start_method,
-    )
+    opts = options or TuningOptions()
     method = method.upper()
     if isinstance(workload, str):
         # Resolve once in the parent: worker processes start from a
@@ -624,20 +619,8 @@ def tune_campaign(
     )
     cells = _em_cache_by_cell()
     jobs = [(spec, kwargs, cells.get(_em_cell(spec, workload), {})) for spec in specs]
-    outcomes, rstats = run_tasks(
-        _tune_platform_worker,
-        jobs,
-        processes=opts.processes,
-        start_method=opts.start_method,
-        policy=opts.retry,
-    )
-    reports = []
-    for report, fresh in outcomes:
-        _merge_em_entries(fresh)
-        reports.append(report)
-    return CampaignResult(
-        method=method, size_mb=size_mb, reports=tuple(reports), reliability=rstats
-    )
+    reports, rstats = _fan_out(_tune_platform_worker, jobs, opts)
+    return CampaignResult(method=method, size_mb=size_mb, reports=reports, reliability=rstats)
 
 
 # --- workload x platform scenario matrices ----------------------------------
@@ -781,10 +764,6 @@ def tune_scenario(
     iterations: int = 1000,
     seed: int = 0,
     options: TuningOptions | None = None,
-    engine=UNSET,
-    batch_size=UNSET,
-    shards=UNSET,
-    refine=UNSET,
 ) -> ScenarioReport:
     """Tune one (workload, platform) cell.
 
@@ -792,12 +771,8 @@ def tune_scenario(
     (``WorkloadSpec.sequence_mb``) — a short-read archive is tuned at
     300 MB, a wheat genome at 24 GB — so the matrix compares scenarios,
     not one arbitrary size.  Execution knobs arrive as one
-    :class:`~repro.core.options.TuningOptions`; the individual keywords
-    remain as a compatibility layer (see :func:`tune_platform`).
+    :class:`~repro.core.options.TuningOptions` (see :func:`tune_platform`).
     """
-    opts = resolve_options(
-        options, engine=engine, batch_size=batch_size, shards=shards, refine=refine
-    )
     spec = get_workload(workload)
     size = float(size_mb) if size_mb is not None else spec.sequence_mb
     report = tune_platform(
@@ -807,7 +782,7 @@ def tune_scenario(
         iterations=iterations,
         seed=seed,
         workload=spec,
-        options=opts,
+        options=options,
     )
     return ScenarioReport(workload=spec.name, size_mb=size, report=report)
 
@@ -839,12 +814,6 @@ def tune_matrix(
     iterations: int = 1000,
     seed: int = 0,
     options: TuningOptions | None = None,
-    engine=UNSET,
-    batch_size=UNSET,
-    shards=UNSET,
-    refine=UNSET,
-    processes=UNSET,
-    start_method=UNSET,
 ) -> MatrixResult:
     """Run one tuning method over a workload x platform scenario matrix.
 
@@ -852,33 +821,22 @@ def tune_matrix(
     accelerator-less platforms for ML-backed methods); both axes accept
     registry names or resolved specs, including runtime-registered
     ingested workloads (``fasta:*``).  Every cell gets a fresh
-    substrate, a scenario-fitted space, and — when ``engine`` names an
-    engine — its own engine instance, so per-cell statistics and
-    budgets stay clean; an explicit
-    :class:`~repro.core.engine.EvaluationEngine` instance is instead
-    shared across serial cells, aggregating its statistics (with
-    process fan-out each worker gets a pickled copy).
+    substrate, a scenario-fitted space, and its own engine instance
+    (when ``options.engine`` names one), so per-cell statistics and
+    budgets stay clean.
 
-    Execution knobs arrive as one :class:`~repro.core.options.TuningOptions`;
-    the individual keywords remain as a compatibility layer.
-    ``options.processes > 1`` fans whole cells out over a process pool
-    with identical results, with the same start-method selection and
-    EM-cache merge-back protocol as :func:`tune_campaign`: the parent
-    cache is grouped by cell once and each job carries only its own
-    cell's references.  ``shards``
-    / ``refine`` are the multi-device enumeration knobs (see
-    :func:`tune_platform`).  ``size_mb`` overrides the per-workload
-    input scale for every cell (mostly useful in tests).
+    Execution knobs arrive as one :class:`~repro.core.options.TuningOptions`
+    (``options=``, ``None`` for the defaults).  ``options.processes > 1``
+    fans whole cells out over a process pool with identical results,
+    with the same start-method selection and EM-cache merge-back
+    protocol as :func:`tune_campaign`: the parent cache is grouped by
+    cell once and each job carries only its own cell's references.
+    ``options.shards`` / ``options.refine`` are the multi-device
+    enumeration knobs (see :func:`tune_platform`).  ``size_mb``
+    overrides the per-workload input scale for every cell (mostly
+    useful in tests).
     """
-    opts = resolve_options(
-        options,
-        engine=engine,
-        batch_size=batch_size,
-        shards=shards,
-        refine=refine,
-        processes=processes,
-        start_method=start_method,
-    )
+    opts = options or TuningOptions()
     method = method.upper()
     wnames = list(workloads) if workloads is not None else list(workload_names())
     if platforms is None:
@@ -902,21 +860,11 @@ def tune_matrix(
     jobs = [
         (w, p, kwargs, cells.get(_em_cell(p, w), {})) for w in wspecs for p in pspecs
     ]
-    outcomes, rstats = run_tasks(
-        _tune_scenario_worker,
-        jobs,
-        processes=opts.processes,
-        start_method=opts.start_method,
-        policy=opts.retry,
-    )
-    reports = []
-    for report, fresh in outcomes:
-        _merge_em_entries(fresh)
-        reports.append(report)
+    reports, rstats = _fan_out(_tune_scenario_worker, jobs, opts)
     return MatrixResult(
         method=method,
         workloads=tuple(w.name for w in wspecs),
         platforms=tuple(p.name for p in pspecs),
-        reports=tuple(reports),
+        reports=reports,
         reliability=rstats,
     )

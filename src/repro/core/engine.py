@@ -7,8 +7,8 @@ simulated annealing and the ablation metaheuristics.  Historically each
 of those callers pulled values one at a time through a scalar
 ``config -> value`` callable, which leaves throughput on the table
 whenever the underlying evaluator can amortize work across candidates
-(the ML predictor's tree ensembles vectorize over a whole design matrix;
-simulator-backed objectives can fan out over processes).
+(the ML predictor's tree ensembles and the simulator's columnar
+measurement path both vectorize over a whole batch).
 
 An :class:`EvaluationEngine` turns the scalar protocol into a batched
 one.  Engines are value-type agnostic: they pass through whatever the
@@ -46,11 +46,8 @@ Backends and trade-offs
     :class:`~repro.core.params.ConfigTable` and scores them through the
     vectorized analytic core (array-native perf model, roofline, and
     seed-per-key simulator noise) — so batching pays off for *both*
-    prediction- and measurement-backed searches.  For scalar-only
-    objectives an optional ``multiprocessing`` pool fans the batch out
-    across worker processes (the objective must be picklable; side
-    effects like experiment counters stay in the workers).  With
-    neither a batch method nor a pool it degrades to a serial loop.
+    prediction- and measurement-backed searches.  Without a batch
+    method it degrades to a serial loop.
 
 Use :func:`make_engine` to construct a backend by name — the CLI's
 ``--engine``/``--batch-size`` flags map straight onto it.
@@ -195,41 +192,19 @@ class BatchedEngine(EvaluationEngine):
         Maximum configurations per underlying batch call.  Larger batches
         amortize NumPy dispatch further but delay results; 64-512 is the
         sweet spot for the ML predictor.
-    processes:
-        If set (> 1) and the objective has no ``evaluate_batch``, a
-        ``multiprocessing`` pool of this many workers maps the scalar
-        objective over each batch.  The objective must be picklable;
-        worker-side state mutations (caches, experiment counters) do not
-        propagate back.  Intended for expensive simulator-backed
-        objectives where per-call cost dwarfs the fork/IPC overhead.
     """
 
     name = "batched"
 
-    def __init__(self, batch_size: int = 64, *, processes: int | None = None) -> None:
+    def __init__(self, batch_size: int = 64) -> None:
         super().__init__()
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if processes is not None and processes < 1:
-            raise ValueError(f"processes must be >= 1, got {processes}")
         self.batch_size = batch_size
-        self.processes = processes
-        self._pool = None
 
     def _chunks(self, items: list) -> Iterable[list]:
         for start in range(0, len(items), self.batch_size):
             yield items[start : start + self.batch_size]
-
-    def _get_pool(self):
-        if self._pool is None:
-            import multiprocessing
-
-            try:
-                context = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX platforms
-                context = multiprocessing.get_context("spawn")
-            self._pool = context.Pool(self.processes)
-        return self._pool
 
     def _evaluate_batch(
         self, objective: Objective, configs: list[SystemConfiguration]
@@ -239,25 +214,12 @@ class BatchedEngine(EvaluationEngine):
         for chunk in self._chunks(configs):
             if batch_call is not None:
                 out.extend(batch_call(chunk))
-            elif self.processes is not None and self.processes > 1:
-                out.extend(self._get_pool().map(objective, chunk))
             else:
                 out.extend(objective(config) for config in chunk)
         return out
 
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
 
-
-def make_engine(
-    name: str,
-    *,
-    batch_size: int = 64,
-    processes: int | None = None,
-) -> EvaluationEngine:
+def make_engine(name: str, *, batch_size: int = 64) -> EvaluationEngine:
     """Construct an engine by name (the ``--engine`` CLI choices).
 
     ``cached+batched`` composes both: memoization in front of the
@@ -270,9 +232,9 @@ def make_engine(
     if key == "cached":
         return CachedEngine()
     if key == "batched":
-        return BatchedEngine(batch_size, processes=processes)
+        return BatchedEngine(batch_size)
     if key == "cached+batched":
-        return CachedEngine(BatchedEngine(batch_size, processes=processes))
+        return CachedEngine(BatchedEngine(batch_size))
     raise ValueError(
         f"unknown engine {name!r}; expected one of {', '.join(ENGINE_NAMES)}"
     )

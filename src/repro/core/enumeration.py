@@ -289,22 +289,6 @@ def _separable_walk(
     )
 
 
-def _enumerate_best_separable_multi(
-    space: ParameterSpace,
-    time_grid,
-    size_mb: float,
-    share_vectors: tuple[tuple[float, ...], ...] | None = None,
-) -> EnumerationResult:
-    """Separable enumeration over a multi-device space (one shard).
-
-    ``share_vectors`` restricts the walk to a slice of the simplex
-    (defaults to the whole grid); see :func:`_separable_walk` for the
-    walk itself and its tie-break rules.
-    """
-    vectors = space.share_vectors if share_vectors is None else share_vectors
-    return _separable_walk(_part_grids(space), vectors, time_grid, size_mb)
-
-
 # --- shard planning and reduction -------------------------------------------
 
 

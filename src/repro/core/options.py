@@ -1,16 +1,15 @@
 """One frozen options object for the execution knobs of every tuner entry.
 
-Historically ``engine`` / ``batch_size`` / ``shards`` / ``refine`` /
-``processes`` / ``start_method`` were hand-copied through
-:func:`~repro.core.campaign.tune_platform`,
+``engine`` / ``batch_size`` / ``shards`` / ``refine`` / ``processes`` /
+``start_method`` (plus ``retry`` / ``transfer`` / ``portfolio``) are
+declared once, here.  :func:`~repro.core.campaign.tune_platform`,
 :func:`~repro.core.campaign.tune_scenario`,
 :func:`~repro.core.campaign.tune_campaign`,
-:func:`~repro.core.campaign.tune_matrix`, the CLI, and the service — six
-keyword lists that had to be kept in sync by hand.  :class:`TuningOptions`
-consolidates them: every entry point accepts ``options=`` (and the CLI
-builds one), while the old keywords remain as a thin compatibility layer
-— an explicitly passed legacy keyword overrides the corresponding
-``options`` field, so existing call sites keep working unchanged.
+:func:`~repro.core.campaign.tune_matrix`,
+:meth:`~repro.core.tuner.WorkDistributionTuner.tune`,
+:meth:`~repro.service.store.CellKey.for_request`, the CLI and the
+service all take them as one ``options=`` argument (``None`` means the
+defaults), so there is a single path from a knob to the code it drives.
 
 The split of responsibilities is deliberate:
 
@@ -30,15 +29,10 @@ from typing import TYPE_CHECKING
 
 from repro.reliability import RetryPolicy
 
-from .engine import EvaluationEngine
+from .engine import ENGINE_NAMES, EvaluationEngine, make_engine
 
 if TYPE_CHECKING:  # import cycle: portfolio consumes TuningOptions-tuned cells
     from .portfolio import PortfolioSpec
-
-#: Sentinel distinguishing "keyword not passed" from "passed its default"
-#: in the compatibility layer of the ``tune_*`` entry points.
-UNSET = object()
-
 
 @dataclass(frozen=True)
 class TuningOptions:
@@ -49,10 +43,10 @@ class TuningOptions:
     engine:
         Evaluation backend: an engine *name* (``serial`` / ``cached`` /
         ``batched`` / ``cached+batched``, see
-        :func:`~repro.core.engine.make_engine`), an
-        :class:`~repro.core.engine.EvaluationEngine` instance (shared
-        across cells — its statistics then aggregate), or ``None`` to
-        call evaluators directly.
+        :func:`~repro.core.engine.make_engine`; normalized to lower
+        case, unknown names are rejected), or ``None`` to call
+        evaluators directly.  Every cell builds its own instance, so
+        engine statistics stay per cell.
     batch_size:
         Configurations per batch when ``engine`` names a batched engine.
     shards:
@@ -88,7 +82,7 @@ class TuningOptions:
         ledger depend on the schedule).
     """
 
-    engine: str | EvaluationEngine | None = "cached+batched"
+    engine: str | None = "cached+batched"
     batch_size: int = 64
     shards: int = 1
     refine: float | None = None
@@ -99,6 +93,16 @@ class TuningOptions:
     portfolio: "PortfolioSpec | None" = None
 
     def __post_init__(self) -> None:
+        if self.engine is not None:
+            engine = self.engine
+            if isinstance(engine, str):
+                engine = engine.strip().lower()
+            if engine not in ENGINE_NAMES:
+                raise ValueError(
+                    f"unknown engine {self.engine!r}; expected one of "
+                    f"{', '.join(ENGINE_NAMES)}"
+                )
+            object.__setattr__(self, "engine", engine)
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.shards < 1:
@@ -120,45 +124,11 @@ class TuningOptions:
         return replace(self, processes=None, start_method=None)
 
     def engine_instance(self) -> EvaluationEngine | None:
-        """Materialize ``engine`` (names become fresh instances).
+        """A fresh engine for ``engine`` (``None`` for direct evaluation).
 
         Callers that want per-cell engine statistics call this once per
-        cell; an explicit :class:`~repro.core.engine.EvaluationEngine`
-        instance is returned as-is (deliberately shared).
+        cell.
         """
-        if isinstance(self.engine, str):
-            from .engine import make_engine
-
-            return make_engine(self.engine, batch_size=self.batch_size)
-        return self.engine
-
-    @property
-    def engine_name(self) -> str | None:
-        """The engine's registry name, or ``None`` for direct evaluation.
-
-        Engine *instances* report their class-derived name so request
-        identities (:class:`~repro.service.store.CellKey`) stay stable
-        whether the caller passed a name or a pre-built instance.
-        """
-        if self.engine is None or isinstance(self.engine, str):
-            return self.engine
-        return type(self.engine).__name__
-
-
-def resolve_options(
-    options: TuningOptions | None = None,
-    **overrides: object,
-) -> TuningOptions:
-    """Merge an options object with explicitly passed legacy keywords.
-
-    ``overrides`` values equal to :data:`UNSET` are dropped (the keyword
-    was not passed); everything else overrides the corresponding field
-    of ``options`` (or of a default :class:`TuningOptions`).  This is
-    the whole compatibility layer: entry points declare their legacy
-    keywords with ``UNSET`` defaults and forward them here.
-    """
-    base = options if options is not None else TuningOptions()
-    explicit = {k: v for k, v in overrides.items() if v is not UNSET}
-    if not explicit:
-        return base
-    return replace(base, **explicit)
+        if self.engine is None:
+            return None
+        return make_engine(self.engine, batch_size=self.batch_size)

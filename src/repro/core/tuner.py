@@ -21,8 +21,8 @@ from ..machines.registry import get_platform
 from ..machines.simulator import PlatformSimulator
 from ..machines.spec import EMIL, PlatformSpec
 from .energy import Energy
-from .engine import EvaluationEngine, make_engine
 from .methods import MethodResult, run_method
+from .options import TuningOptions
 from .params import (
     ParameterSpace,
     SystemConfiguration,
@@ -239,12 +239,7 @@ class WorkDistributionTuner:
         method: str = "SAML",
         iterations: int = 1000,
         seed: int | None = None,
-        engine: str | EvaluationEngine | None = None,
-        batch_size: int = 64,
-        shards: int = 1,
-        refine: float | None = None,
-        processes: int | None = None,
-        start_method: str | None = None,
+        options: TuningOptions | None = None,
     ) -> TuningOutcome:
         """Suggest a configuration for an input of ``size_mb`` megabytes.
 
@@ -253,10 +248,10 @@ class WorkDistributionTuner:
         baselines: host-only with all 48 threads and device-only with
         all 240 threads.
 
-        ``engine`` selects the evaluation backend for the search phase —
-        an :class:`~repro.core.engine.EvaluationEngine` instance or one
-        of the :func:`~repro.core.engine.make_engine` names ("serial",
-        "cached", "batched", "cached+batched"); results are identical
+        Execution knobs arrive as one
+        :class:`~repro.core.options.TuningOptions`; ``None`` evaluates
+        directly, without an engine.  ``options.engine`` selects the
+        evaluation backend for the search phase; results are identical
         across backends, only throughput differs.  ``shards`` /
         ``refine`` / ``processes`` / ``start_method`` are the
         multi-device enumeration scale-out knobs (see
@@ -265,8 +260,7 @@ class WorkDistributionTuner:
         """
         if size_mb <= 0:
             raise ValueError(f"size_mb must be positive, got {size_mb}")
-        if isinstance(engine, str):
-            engine = make_engine(engine, batch_size=batch_size)
+        opts = options or TuningOptions(engine=None)
         ml = None
         if method.upper() in ("EML", "SAML"):
             ml = self.models.evaluator()
@@ -278,11 +272,11 @@ class WorkDistributionTuner:
             ml=ml,
             iterations=iterations,
             seed=self.seed if seed is None else seed,
-            engine=engine,
-            shards=shards,
-            refine=refine,
-            processes=processes,
-            start_method=start_method,
+            engine=opts.engine_instance(),
+            shards=opts.shards,
+            refine=opts.refine,
+            processes=opts.processes,
+            start_method=opts.start_method,
         )
         host_cfg = host_only_config(max(self.space.host_threads))
         host_only = Energy(

@@ -399,10 +399,6 @@ class DevicePerformanceModel(_SidePerformanceModel):
         )
         return cost.total_exposed_s + self.compute_time(threads, affinity, mb)
 
-    def compute_times_batch(self, threads, affinities, mb) -> np.ndarray:
-        """Array-native :meth:`compute_time` (kernel-only, no offload)."""
-        return _SidePerformanceModel.times_batch(self, threads, affinities, mb)
-
     def times_batch(self, threads, affinities, mb) -> np.ndarray:
         """Array-native :meth:`time` over whole offload-region columns.
 

@@ -39,6 +39,8 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 
+from ..machines.simulator import _GOLDEN, _MASK64, _mix64
+
 #: Instrumented sites, in stack order.
 SITE_POOL_TASK = "pool.task"  # one campaign/matrix cell dispatch (key: task index)
 SITE_ENUM_SHARD = "enum.shard"  # one share-simplex shard dispatch (key: shard index)
@@ -52,26 +54,13 @@ KIND_HANG = "hang"  # sleep duration_s before proceeding (a straggler)
 KIND_TORN_WRITE = "torn-write"  # write a partial line, then fail the write
 KIND_IO_ERROR = "io-error"  # raise InjectedIOError (a transient I/O fault)
 
-# splitmix64 finalizer constants (Steele et al.; public domain) — the
-# same scheme the simulator's seed-per-key noise uses, so fault plans
-# inherit its determinism argument.
-_MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-_MIX_A = 0xBF58476D1CE4E5B9
-_MIX_B = 0x94D049BB133111EB
-
-
-def _mix64(z: int) -> int:
-    """splitmix64 avalanche finalizer on a Python int (wrapping 64-bit)."""
-    z &= _MASK64
-    z = (z ^ (z >> 30)) * _MIX_A & _MASK64
-    z = (z ^ (z >> 27)) * _MIX_B & _MASK64
-    return z ^ (z >> 31)
-
-
 def _draw(seed: int, index: int) -> int:
-    """The ``index``-th deterministic 64-bit draw of a fault-plan seed."""
-    return _mix64((seed & _MASK64) + (index + 1) * _GOLDEN)
+    """The ``index``-th deterministic 64-bit draw of a fault-plan seed.
+
+    Uses the simulator's splitmix64 finalizer, so fault plans inherit
+    the determinism argument of its seed-per-key noise.
+    """
+    return _mix64(((seed & _MASK64) + (index + 1) * _GOLDEN) & _MASK64)
 
 
 class InjectedCrash(RuntimeError):

@@ -25,7 +25,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .faults import _GOLDEN, _MASK64, _mix64
+from ..machines.simulator import _GOLDEN, _MASK64, _mix64
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,9 @@ class RetryPolicy:
         back off in lockstep.
         """
         base = min(self.backoff_s * self.multiplier**attempt, self.max_backoff_s)
-        state = _mix64((self.seed & _MASK64) ^ _mix64((key + 1) * _GOLDEN + attempt))
+        state = _mix64(
+            (self.seed & _MASK64) ^ _mix64(((key + 1) * _GOLDEN + attempt) & _MASK64)
+        )
         unit = state / float(_MASK64 + 1)  # uniform in [0, 1)
         return base * (1.0 - self.jitter + 2.0 * self.jitter * unit)
 

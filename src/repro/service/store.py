@@ -82,9 +82,9 @@ from repro.reliability import (
     perform_action,
 )
 
-from ..core.campaign import ScenarioReport
-from ..core.methods import MethodResult
-from ..core.options import UNSET, TuningOptions, resolve_options
+from ..core.campaign import ML_METHODS, ScenarioReport
+from ..core.methods import METHOD_PROPERTIES, MethodResult
+from ..core.options import TuningOptions
 from ..dna.workloads import get_workload, is_derived_key
 from ..machines.registry import resolve_platform
 from .serde import (
@@ -173,31 +173,39 @@ class CellKey:
         iterations: int = 1000,
         seed: int = 0,
         options: TuningOptions | None = None,
-        engine=UNSET,
-        batch_size=UNSET,
-        refine=UNSET,
     ) -> "CellKey":
         """Canonicalize a request into its dedup identity.
 
         Result-relevant execution knobs come from ``options`` (a
-        :class:`~repro.core.options.TuningOptions`) or the legacy
-        keywords, merged exactly like the ``tune_*`` entry points; the
-        execution-only fields (``shards`` / ``processes`` /
-        ``start_method``) are ignored by construction.  Raises
-        ``ValueError`` for unknown workload/platform names, so
-        admission rejects bad requests before touching the store.
+        :class:`~repro.core.options.TuningOptions`, ``None`` for the
+        defaults); the execution-only fields (``shards`` / ``processes``
+        / ``start_method``) are ignored by construction.  Raises
+        ``ValueError`` for unknown workload/platform/method names and
+        for ML-backed methods on a platform without an accelerator, so
+        admission rejects bad requests before touching the store or
+        charging a quota.
         """
-        opts = resolve_options(options, engine=engine, batch_size=batch_size, refine=refine)
+        opts = options or TuningOptions()
         wspec = get_workload(workload)
         pspec = resolve_platform(platform)
+        method = method.upper()
+        if method not in METHOD_PROPERTIES:
+            raise ValueError(
+                f"unknown method {method!r}; expected one of "
+                f"{', '.join(METHOD_PROPERTIES)}"
+            )
+        if method in ML_METHODS:
+            pspec.require_device(
+                f"method {method} needs per-platform trained predictors — use EM or SAM"
+            )
         return cls(
             workload=wspec.name,
             platform=pspec.name,
-            method=method.upper(),
+            method=method,
             size_mb=float(size_mb) if size_mb is not None else wspec.sequence_mb,
             iterations=int(iterations),
             seed=int(seed),
-            engine=opts.engine_name,
+            engine=opts.engine,
             batch_size=int(opts.batch_size),
             refine=None if opts.refine is None else float(opts.refine),
             workload_digest=(

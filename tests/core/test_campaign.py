@@ -4,7 +4,7 @@ import multiprocessing
 
 import pytest
 
-from repro.core import platform_space, tune_campaign, tune_platform
+from repro.core import TuningOptions, platform_space, tune_campaign, tune_platform
 from repro.core.campaign import CampaignResult
 from repro.machines import MANYCORE, get_platform, platform_names
 from repro.machines.perfmodel import DNA_SCAN
@@ -111,7 +111,11 @@ class TestTuneCampaign:
 
     def test_process_fanout_matches_serial_results(self, sam_campaign):
         fanned = tune_campaign(
-            method="SAM", size_mb=SIZE_MB, iterations=ITERS, seed=0, processes=2
+            method="SAM",
+            size_mb=SIZE_MB,
+            iterations=ITERS,
+            seed=0,
+            options=TuningOptions(processes=2),
         )
         assert [r.config for r in fanned] == [r.config for r in sam_campaign]
         assert [r.measured_time for r in fanned] == [
@@ -120,7 +124,11 @@ class TestTuneCampaign:
 
     def test_engine_none_disables_engine_stats(self):
         res = tune_campaign(
-            ("emil",), method="SAM", size_mb=SIZE_MB, iterations=40, engine=None
+            ("emil",),
+            method="SAM",
+            size_mb=SIZE_MB,
+            iterations=40,
+            options=TuningOptions(engine=None),
         )
         assert res.report("emil").engine_batches == 0
 
@@ -172,7 +180,11 @@ class TestEMReferenceCache:
             "dualphi", method="SAM", size_mb=SIZE_MB, iterations=ITERS
         )
         refined = tune_platform(
-            "dualphi", method="SAM", size_mb=SIZE_MB, iterations=ITERS, refine=2.5
+            "dualphi",
+            method="SAM",
+            size_mb=SIZE_MB,
+            iterations=ITERS,
+            options=TuningOptions(refine=2.5),
         )
         # Different fidelity -> different cached reference; the refined
         # EM optimum can only improve on the coarse-grid one.
@@ -188,7 +200,11 @@ class TestEMReferenceCache:
             "dualphi", method="SAM", size_mb=SIZE_MB, iterations=ITERS
         )
         sharded = tune_platform(
-            "dualphi", method="SAM", size_mb=SIZE_MB, iterations=ITERS, shards=4
+            "dualphi",
+            method="SAM",
+            size_mb=SIZE_MB,
+            iterations=ITERS,
+            options=TuningOptions(shards=4),
         )
         assert len(_EM_CACHE) == 1  # sharding is bit-identical: same cell
         assert sharded.em_time == plain.em_time
@@ -239,7 +255,7 @@ class TestEMCacheMergeBack:
             method="SAM",
             size_mb=SIZE_MB,
             iterations=ITERS,
-            processes=2,
+            options=TuningOptions(processes=2),
         )
         # Worker-computed EM references travel back over the pipe and
         # land in the parent's cache.
@@ -257,7 +273,7 @@ class TestEMCacheMergeBack:
             method="SAM",
             size_mb=SIZE_MB,
             iterations=ITERS,
-            processes=2,
+            options=TuningOptions(processes=2),
         )
         # Every cell is now cached in the parent; a repeat campaign must
         # not enumerate again, pooled or not.
@@ -326,8 +342,7 @@ class TestCampaignStartMethods:
             method="SAM",
             size_mb=SIZE_MB,
             iterations=ITERS,
-            processes=2,
-            start_method=start_method,
+            options=TuningOptions(processes=2, start_method=start_method),
         )
         assert [r.config for r in fanned] == [r.config for r in serial]
         assert [r.measured_time for r in fanned] == [
@@ -348,6 +363,5 @@ class TestCampaignStartMethods:
                 method="SAM",
                 size_mb=SIZE_MB,
                 iterations=ITERS,
-                processes=2,
-                start_method="no-such-method",
+                options=TuningOptions(processes=2, start_method="no-such-method"),
             )

@@ -96,20 +96,6 @@ def random_configs(n, seed=0, space=SPACE):
     return [space.random_config(rng) for _ in range(n)]
 
 
-class ScalarSimObjective:
-    """Picklable simulator-backed objective WITHOUT the batch protocol,
-    so :class:`BatchedEngine` must take its process-pool path."""
-
-    def __init__(self, sim, size_mb):
-        self.sim = sim
-        self.size_mb = size_mb
-
-    def __call__(self, config):
-        from repro.core import MeasurementEvaluator, make_objective
-
-        return make_objective(MeasurementEvaluator(self.sim), self.size_mb)(config)
-
-
 @pytest.fixture(scope="module")
 def sim():
     return PlatformSimulator(seed=0)
@@ -222,30 +208,12 @@ class TestBatchedEngine:
     def test_validates_parameters(self):
         with pytest.raises(ValueError):
             BatchedEngine(0)
-        with pytest.raises(ValueError):
-            BatchedEngine(4, processes=0)
 
     def test_ml_batch_is_bit_identical_to_serial(self, ml):
         configs = random_configs(64, seed=9)
         serial = SerialEngine().evaluate_batch(make_objective(ml, 2435.0), configs)
         batched = BatchedEngine(16).evaluate_batch(make_objective(ml, 2435.0), configs)
         assert serial == batched  # exact float equality, not approx
-
-    def test_process_pool_matches_serial(self, sim):
-        """Pool path on a picklable simulator-backed objective."""
-        from repro.core import MeasurementEvaluator
-
-        configs = random_configs(6, seed=2, space=SMALL_SPACE)
-        expected = [
-            MeasurementEvaluator(sim).evaluate(c, 1000.0).value for c in configs
-        ]
-
-        engine = BatchedEngine(3, processes=2)
-        try:
-            values = engine.evaluate_batch(ScalarSimObjective(sim, 1000.0), configs)
-        finally:
-            engine.close()
-        assert values == pytest.approx(expected)
 
 
 class TestMakeEngine:

@@ -4,7 +4,7 @@ import multiprocessing
 
 import pytest
 
-from repro.core import campaign, tune_matrix, tune_scenario
+from repro.core import TuningOptions, campaign, tune_matrix, tune_scenario
 from repro.core.campaign import MatrixResult
 from repro.dna.workloads import SHORT_READ, get_workload
 
@@ -94,7 +94,12 @@ class TestTuneMatrix:
 
     def test_process_fanout_matches_serial_results(self, sam_matrix):
         fanned = tune_matrix(
-            WORKLOADS, PLATFORMS, method="SAM", iterations=ITERS, seed=0, processes=2
+            WORKLOADS,
+            PLATFORMS,
+            method="SAM",
+            iterations=ITERS,
+            seed=0,
+            options=TuningOptions(processes=2),
         )
         assert [r.config for r in fanned] == [r.config for r in sam_matrix]
         assert [r.report.measured_time for r in fanned] == [
@@ -189,7 +194,11 @@ class TestCellScopedPreseed:
         held = len(campaign._EM_CACHE)
         jobs = capture_jobs(monkeypatch)
         pooled = tune_matrix(
-            *self.CELLS, method="SAM", iterations=ITERS, seed=0, processes=2
+            *self.CELLS,
+            method="SAM",
+            iterations=ITERS,
+            seed=0,
+            options=TuningOptions(processes=2),
         )
         assert pooled == serial
         assert len(campaign._EM_CACHE) == held
@@ -226,14 +235,16 @@ class TestCellScopedPreseed:
 
         monkeypatch.setattr(campaign, "run_em", warm_only)
         monkeypatch.setattr(campaign, "_seed_and_diff_cache", shipped_only)
-        refined = dict(method="SAM", iterations=ITERS, seed=0, refine=2.5)
-        serial = tune_matrix(*self.CELLS, **refined)
+        refined = dict(method="SAM", iterations=ITERS, seed=0)
+        serial = tune_matrix(*self.CELLS, **refined, options=TuningOptions(refine=2.5))
         for key in [k for k in campaign._EM_CACHE if k[5] is not None]:
             del campaign._EM_CACHE[key]  # keep only the coarse twins
 
         jobs = capture_jobs(monkeypatch)
         pooled = tune_matrix(
-            *self.CELLS, **refined, processes=2, start_method="fork"
+            *self.CELLS,
+            **refined,
+            options=TuningOptions(refine=2.5, processes=2, start_method="fork"),
         )
         assert pooled.reliability.crashes == 0
         assert pooled == serial

@@ -1,19 +1,10 @@
-"""The unified TuningOptions object and its compatibility layer."""
+"""The unified TuningOptions object: the one path for execution knobs."""
 
 import dataclasses
 
 import pytest
 
-from repro.core import (
-    UNSET,
-    CachedEngine,
-    TuningOptions,
-    make_engine,
-    resolve_options,
-    tune_matrix,
-    tune_platform,
-    tune_scenario,
-)
+from repro.core import CachedEngine, TuningOptions, tune_platform
 
 ITERS = 60
 
@@ -46,24 +37,14 @@ class TestDefaultsAndValidation:
         with pytest.raises(ValueError):
             TuningOptions(**kwargs)
 
+    def test_engine_names_are_normalized(self):
+        assert TuningOptions(engine="  Cached+Batched ").engine == "cached+batched"
+        assert TuningOptions(engine="  Cached+Batched ") == TuningOptions()
 
-class TestResolveOptions:
-    def test_no_options_no_keywords_is_the_default(self):
-        assert resolve_options(None) == TuningOptions()
-
-    def test_unset_keywords_are_dropped(self):
-        base = TuningOptions(engine="serial", shards=4)
-        assert resolve_options(base, engine=UNSET, shards=UNSET) is base
-
-    def test_explicit_keyword_overrides_the_options_field(self):
-        base = TuningOptions(engine="serial", batch_size=32)
-        merged = resolve_options(base, engine="cached", batch_size=UNSET)
-        assert merged.engine == "cached"
-        assert merged.batch_size == 32  # untouched field survives
-
-    def test_explicit_none_is_an_override_not_a_drop(self):
-        merged = resolve_options(TuningOptions(refine=5.0), refine=None)
-        assert merged.refine is None
+    @pytest.mark.parametrize("engine", ["bogus", "", 7, CachedEngine()])
+    def test_unknown_engines_rejected(self, engine):
+        with pytest.raises(ValueError, match="unknown engine"):
+            TuningOptions(engine=engine)
 
 
 class TestViews:
@@ -81,64 +62,28 @@ class TestViews:
         engine = TuningOptions(engine="cached", batch_size=8).engine_instance()
         assert isinstance(engine, CachedEngine)
 
-    def test_engine_instance_passes_instances_through(self):
-        shared = make_engine("batched", batch_size=16)
-        assert TuningOptions(engine=shared).engine_instance() is shared
+    def test_engine_instance_is_none_for_direct_evaluation(self):
+        assert TuningOptions(engine=None).engine_instance() is None
 
-    def test_engine_name_is_stable_across_forms(self):
-        assert TuningOptions(engine=None).engine_name is None
-        assert TuningOptions(engine="serial").engine_name == "serial"
-        instance = make_engine("batched", batch_size=16)
-        assert TuningOptions(engine=instance).engine_name == "BatchedEngine"
+    def test_engine_instance_is_fresh_per_call(self):
+        opts = TuningOptions(engine="cached")
+        assert opts.engine_instance() is not opts.engine_instance()
 
 
-class TestEntryPointEquivalence:
-    """options= and the legacy keywords must produce identical results."""
+class TestEntryPoints:
+    """``options=None`` means the defaults; knobs reach the cell through options only."""
 
-    def test_tune_platform_options_equals_legacy(self):
-        legacy = tune_platform(
-            "emil", iterations=ITERS, seed=0, engine="cached", batch_size=16
+    def test_tune_platform_none_equals_default_options(self):
+        implicit = tune_platform("emil", iterations=ITERS, seed=0)
+        explicit = tune_platform(
+            "emil", iterations=ITERS, seed=0, options=TuningOptions()
         )
-        unified = tune_platform(
-            "emil",
-            iterations=ITERS,
-            seed=0,
-            options=TuningOptions(engine="cached", batch_size=16),
-        )
-        assert unified == legacy
+        assert implicit == explicit
 
-    def test_tune_scenario_keyword_overrides_options(self):
-        base = TuningOptions(engine="serial")
-        overridden = tune_scenario(
-            "short-read", "emil", iterations=ITERS, seed=0,
-            options=base, engine="cached+batched",
-        )
-        direct = tune_scenario(
-            "short-read", "emil", iterations=ITERS, seed=0,
-            engine="cached+batched",
-        )
-        assert overridden == direct
-
-    def test_tune_matrix_accepts_engine_instances(self):
-        """Regression: the matrix path accepts EvaluationEngine instances.
-
-        ``tune_matrix`` historically annotated ``engine`` as ``str | None``
-        while every other entry point also took instances; a shared
-        instance through the serial matrix path must work and aggregate
-        its statistics across cells.
-        """
-        shared = make_engine("cached+batched", batch_size=64)
-        res = tune_matrix(
-            ("short-read",), ("emil", "slowlink"),
-            iterations=ITERS, seed=0,
-            options=TuningOptions(engine=shared),
-        )
-        named = tune_matrix(
-            ("short-read",), ("emil", "slowlink"),
-            iterations=ITERS, seed=0, engine="cached+batched",
-        )
-        assert [c.report.config for c in res.reports] == [
-            c.report.config for c in named.reports
-        ]
-        # The shared instance saw every cell's evaluations.
-        assert shared.stats.batches >= sum(c.report.engine_batches for c in named.reports)
+    @pytest.mark.parametrize(
+        "legacy",
+        [{"engine": "serial"}, {"batch_size": 8}, {"shards": 2}, {"refine": 2.5}],
+    )
+    def test_knobs_are_not_keywords(self, legacy):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            tune_platform("emil", iterations=ITERS, seed=0, **legacy)

@@ -7,7 +7,6 @@ specs in the submit itself (``SubmitRequest.derived``).
 
 import asyncio
 
-from repro.core import TuningOptions
 from repro.dna import ingest_fasta_string, register_ingest
 from repro.dna.workloads import WORKLOADS
 from repro.service import CampaignServer, ResultStore, ServiceClient, SubmitRequest
@@ -82,29 +81,6 @@ class TestCellKeyDigest:
         second = CellKey.for_request(report.positive_key, "emil", size_mb=600.0)
         assert first != second
         assert first.workload_digest != second.workload_digest
-
-    def test_options_and_legacy_keywords_build_the_same_key(self):
-        legacy = CellKey.for_request(
-            "short-read", "emil", size_mb=600.0, engine="cached", batch_size=16
-        )
-        unified = CellKey.for_request(
-            "short-read",
-            "emil",
-            size_mb=600.0,
-            options=TuningOptions(engine="cached", batch_size=16),
-        )
-        assert unified == legacy
-
-    def test_engine_instances_key_by_name(self):
-        from repro.core import make_engine
-
-        key = CellKey.for_request(
-            "short-read",
-            "emil",
-            size_mb=600.0,
-            options=TuningOptions(engine=make_engine("serial")),
-        )
-        assert key.engine == "SerialEngine"
 
 
 class TestDerivedSubmit:

@@ -253,6 +253,34 @@ class TestProtocolEdges:
         assert bad[-1]["reason"] == "bad-request"
         assert payload_of(good)["source"] == "evaluate"
 
+    def test_malformed_cells_are_rejected_at_admission(self, tmp_path, monkeypatch):
+        """Unknown method/engine and deviceless ML cells never reach evaluation."""
+
+        def forbidden(job):
+            raise AssertionError("a malformed request reached evaluation")
+
+        monkeypatch.setattr(campaign, "_tune_scenario_worker", forbidden)
+        malformed = (
+            {"method": "FOO"},
+            {"engine": "bogus"},
+            {"method": "SAML", "platforms": ("manycore",)},
+        )
+
+        async def scenario(server):
+            async with ServiceClient(port=server.port) as client:
+                events = [
+                    await client.submit(SubmitRequest(**{**REQUEST, **overrides}))
+                    for overrides in malformed
+                ]
+            return events, server.stats
+
+        events, stats = serve(scenario, tmp_path, quota=5)
+        for overrides, bad in zip(malformed, events):
+            assert bad[-1]["event"] == "rejected", overrides
+            assert bad[-1]["reason"] == "bad-request", overrides
+        assert stats.client_spent == {}
+        assert stats.eval_retries == 0
+
     def test_evaluation_failure_streams_an_error_cell(self, tmp_path, monkeypatch):
         def exploding(job):
             raise RuntimeError("synthetic evaluation failure")

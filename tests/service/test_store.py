@@ -6,6 +6,8 @@ import pytest
 
 from repro.core.campaign import _em_cache_key, tune_scenario
 from repro.core.methods import run_method
+from repro.core.options import TuningOptions
+from repro.core.portfolio import PortfolioSpec
 from repro.core.params import workload_space
 from repro.dna.workloads import get_workload
 from repro.machines import get_platform
@@ -59,7 +61,9 @@ class TestCellKey:
         for other in (
             CellKey.for_request("short-read", "emil", size_mb=SIZE_MB, seed=1),
             CellKey.for_request("short-read", "emil", size_mb=SIZE_MB, method="EM"),
-            CellKey.for_request("short-read", "emil", size_mb=SIZE_MB, refine=2.5),
+            CellKey.for_request(
+                "short-read", "emil", size_mb=SIZE_MB, options=TuningOptions(refine=2.5)
+            ),
             CellKey.for_request("short-read", "fathost", size_mb=SIZE_MB),
         ):
             assert other.digest() != base.digest()
@@ -69,6 +73,43 @@ class TestCellKey:
             CellKey.for_request("no-such-workload", "emil")
         with pytest.raises(ValueError):
             CellKey.for_request("short-read", "no-such-platform")
+        with pytest.raises(ValueError, match="unknown method"):
+            CellKey.for_request("short-read", "emil", method="FOO")
+        with pytest.raises(ValueError, match="no accelerator"):
+            CellKey.for_request("short-read", "manycore", method="SAML")
+
+
+class TestGoldenDigests:
+    """Pinned request identities: a refactor must keep every stored record reachable.
+
+    A changed hex here means every ``scenario`` record written before the
+    change is orphaned; that needs a ``STORE_SCHEMA_VERSION`` bump, not a
+    new pin.
+    """
+
+    def test_default_sam_request(self):
+        key = CellKey.for_request("dna-paper", "emil")
+        assert key.digest() == (
+            "2ebcbfdc47b7178c288a5f9afe05802f1c24151994287b6df36772ea827f3b4b"
+        )
+
+    def test_refined_serial_multi_device_request(self):
+        key = CellKey.for_request(
+            "dna-paper", "dualphi", options=TuningOptions(engine="serial", refine=2.5)
+        )
+        assert key.digest() == (
+            "1216b5713faf2e179c0058a2bcf53d15a8c883880b8bbdaf1688ff54a6b607cb"
+        )
+
+    def test_transfer_portfolio_request(self):
+        options = TuningOptions(transfer=True, portfolio=PortfolioSpec.parse("sh:25x2"))
+        key = CellKey.for_request("short-read", "emil", options=options)
+        assert key.digest() == (
+            "cffe553e67ed65fd96912873c9951a64e1b90630319b035f647bf3edaa74d3b2"
+        )
+
+    def test_schema_version(self):
+        assert STORE_SCHEMA_VERSION == 3
 
 
 class TestEmRoundTrip:
