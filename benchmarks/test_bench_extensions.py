@@ -9,8 +9,8 @@ from conftest import run_once
 from repro.core import run_saml
 from repro.core.params import SystemConfiguration
 from repro.experiments import render_table
-from repro.machines import EMIL
-from repro.runtime import AdaptiveRebalancer, MultiDeviceRuntime, run_configuration
+from repro.machines import EMIL, PlatformSimulator
+from repro.runtime import AdaptiveRebalancer, proportional_shares, run_configuration
 
 
 def test_adaptive_vs_static_schedule(benchmark, ctx):
@@ -47,9 +47,9 @@ def test_multidevice_scaling(benchmark):
     def scale():
         rows = []
         for n in (1, 2, 3, 4):
-            rt = MultiDeviceRuntime(EMIL.with_devices(n), seed=0)
-            cfg = rt.proportional_shares(48, "scatter", 240, "balanced", size)
-            rows.append((n, cfg.host_share, rt.run(cfg, size).total))
+            sim = PlatformSimulator(EMIL.with_devices(n), seed=0)
+            cfg = proportional_shares(sim, 48, "scatter", 240, "balanced", size)
+            rows.append((n, cfg.host_fraction, run_configuration(sim, cfg, size).total))
         return rows
 
     rows = run_once(benchmark, scale)

@@ -10,8 +10,8 @@ execution time and the host share evolve.
 Run:  python examples/multi_accelerator.py
 """
 
-from repro.machines import EMIL
-from repro.runtime import MultiDeviceRuntime
+from repro.machines import EMIL, PlatformSimulator
+from repro.runtime import proportional_shares, run_configuration
 
 
 def main() -> None:
@@ -23,13 +23,13 @@ def main() -> None:
 
     base_time = None
     for n in (1, 2, 3, 4):
-        runtime = MultiDeviceRuntime(EMIL.with_devices(n), seed=0)
-        config = runtime.proportional_shares(48, "scatter", 240, "balanced", size_mb)
-        outcome = runtime.run(config, size_mb)
+        sim = PlatformSimulator(EMIL.with_devices(n), seed=0)
+        config = proportional_shares(sim, 48, "scatter", 240, "balanced", size_mb)
+        outcome = run_configuration(sim, config, size_mb)
         if base_time is None:
             base_time = outcome.total
-        per_phi = config.devices[0].share
-        print(f"{n:8d} {config.host_share:8.1f} {per_phi:10.1f} "
+        per_phi = config.device_slots[0].share
+        print(f"{n:8d} {config.host_fraction:8.1f} {per_phi:10.1f} "
               f"{outcome.total:14.3f} {base_time / outcome.total:12.2f}x")
 
     print("\nEach extra accelerator takes an equal slice; the host share "

@@ -47,7 +47,6 @@ Subpackages
 
 from .core import (
     DEFAULT_SPACE,
-    CampaignResult,
     MatrixResult,
     MethodResult,
     ParameterSpace,
@@ -63,7 +62,6 @@ from .core import (
     run_eml,
     run_sam,
     run_saml,
-    tune_campaign,
     tune_matrix,
     tune_platform,
     tune_scenario,
@@ -100,7 +98,6 @@ __version__ = "1.1.0"
 
 __all__ = [
     "DEFAULT_SPACE",
-    "CampaignResult",
     "MethodResult",
     "ParameterSpace",
     "PlatformTuneReport",
@@ -117,7 +114,6 @@ __all__ = [
     "run_eml",
     "run_sam",
     "run_saml",
-    "tune_campaign",
     "tune_matrix",
     "tune_platform",
     "tune_scenario",

@@ -462,8 +462,11 @@ def _run_ingest(args, platform) -> int:
 
 
 def _run_campaign(workload, args) -> int:
-    """One method across the registered fleet -> comparison table."""
-    from .core.campaign import tune_campaign
+    """One method across the registered fleet -> comparison table.
+
+    A fleet run is the one-workload matrix ``tune_matrix([workload], ...)``.
+    """
+    from .core.campaign import tune_matrix
 
     method = (args.method or "SAM").upper()
     platforms = _split_csv(args.platforms)
@@ -474,13 +477,13 @@ def _run_campaign(workload, args) -> int:
     size_mb = args.size_mb if args.size_mb is not None else workload.sequence_mb
     restore_store = _bind_store(args)
     try:
-        result = tune_campaign(
+        result = tune_matrix(
+            [workload],
             platforms,
             method=method,
             size_mb=size_mb,
             iterations=args.iterations,
             seed=args.seed,
-            workload=workload,
             options=_cli_options(args),
         )
     except ValueError as exc:
@@ -488,19 +491,34 @@ def _run_campaign(workload, args) -> int:
         return 2
     finally:
         restore_store()
+    reports = [cell.report for cell in result]
+    rows = [
+        (
+            r.platform,
+            r.config.describe(),
+            round(r.measured_time, 3),
+            round(r.em_time, 3),
+            f"{r.quality_vs_em:.3f}x",
+            f"{r.speedup_vs_host_only:.2f}x",
+            "-" if r.speedup_vs_device_only is None else f"{r.speedup_vs_device_only:.2f}x",
+            r.experiments,
+            round(100.0 * r.budget_fraction, 2),
+        )
+        for r in reports
+    ]
     print(render_table(
-        result.table_headers(),
-        result.table_rows(),
+        ["Platform", "Best configuration", "Time [s]", "EM [s]", "vs EM",
+         "vs host", "vs device", "Experiments", "Budget [%]"],
+        rows,
         title=(
             f"Campaign: {method} on a {size_mb:g} MB {workload.name} workload "
-            f"across {len(result)} platforms"
+            f"across {len(reports)} platforms"
         ),
     ))
-    best = result.best_platform()
+    best = min(reports, key=lambda r: r.measured_time)
     print()
     print(f"fastest platform   : {best.platform} ({best.measured_time:.3f} s)")
-    print(f"closest to optimum : "
-          f"{min(result, key=lambda r: r.quality_vs_em).platform}")
+    print(f"closest to optimum : {min(reports, key=lambda r: r.quality_vs_em).platform}")
     return 0
 
 
@@ -770,6 +788,101 @@ def _run_submit(args, workload, platform) -> int:
     return code
 
 
+def _run_studies(want, args, platform, workload, engine) -> int:
+    """The paper's figures and tables (``all`` prints every one)."""
+    needs_ctx = want not in ("table1", "table2", "table3")
+    ctx = None
+    if needs_ctx:
+        try:
+            ctx = platform_context(
+                args.platform or "emil",
+                args.seed,
+                workload.name.lower(),
+            )
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+
+    if want in ("table1", "all"):
+        _print_table1()
+    if want in ("table2", "all"):
+        _print_table2()
+    if want in ("table3", "all"):
+        _print_table3(platform)
+    if want in ("fig2", "all"):
+        _print_fig2(ctx)
+    if want in ("fig5", "all"):
+        _print_prediction_curves(fig5_curves(ctx), "Fig. 5: host prediction accuracy")
+    if want in ("fig6", "all"):
+        _print_prediction_curves(fig6_curves(ctx), "Fig. 6: device prediction accuracy")
+    if want in ("fig7", "all"):
+        h = fig7_histogram(ctx)
+        print(render_histogram([r[0] for r in h.rows()], [r[1] for r in h.rows()],
+                               title="Fig. 7: host error histogram"))
+        print()
+    if want in ("fig8", "all"):
+        h = fig8_histogram(ctx)
+        print(render_histogram([r[0] for r in h.rows()], [r[1] for r in h.rows()],
+                               title="Fig. 8: device error histogram"))
+        print()
+    if want in ("table4", "all"):
+        _print_accuracy_table(table4(ctx), "Table IV: host prediction accuracy")
+    if want in ("table5", "all"):
+        _print_accuracy_table(table5(ctx), "Table V: device prediction accuracy")
+    if want in ("fig9", "table6", "table7", "table8", "table9", "summary", "all"):
+        study = run_iteration_study(ctx, n_seeds=args.seeds, engine=engine)
+        hdr = ["DNA", *[str(c) for c in CHECKPOINTS]]
+        if want in ("fig9", "all"):
+            from .experiments import line_plot
+
+            for genome in GENOME_ORDER:
+                series = study.fig9_series(genome)
+                print(
+                    render_series(
+                        list(CHECKPOINTS),
+                        series,
+                        x_label="iterations",
+                        title=f"Fig. 9: best measured time [s] — {genome}",
+                    )
+                )
+                print()
+                print(line_plot(
+                    list(CHECKPOINTS),
+                    series,
+                    title=f"Fig. 9 ({genome})",
+                    y_label="seconds",
+                    x_label="iterations",
+                ))
+                print()
+        if want in ("table6", "all"):
+            print(render_table(hdr, study.table6(), title="Table VI: percent difference [%]"))
+            print()
+        if want in ("table7", "all"):
+            print(render_table(hdr, study.table7(), title="Table VII: absolute difference [s]"))
+            print()
+        if want in ("table8", "all"):
+            print(render_table([*hdr, "EM"], study.table8(),
+                               title="Table VIII: speedup vs host-only (48 threads)"))
+            print()
+        if want in ("table9", "all"):
+            print(render_table([*hdr, "EM"], study.table9(),
+                               title="Table IX: speedup vs device-only (240 threads)"))
+            print()
+        if want in ("summary", "all"):
+            g = study.genomes["mouse"]
+            budget = 1000
+            print("Headline results (mouse genome, 1000 SA iterations):")
+            print(f"  experiments explored by SAML : {budget} "
+                  f"({100.0 * budget / ctx.space.size():.1f}% of the "
+                  f"{ctx.space.size()} EM experiments)")
+            print(f"  speedup vs host-only        : {g.speedup_vs_host(budget):.2f}x "
+                  f"(paper: 1.74x)")
+            print(f"  speedup vs device-only      : {g.speedup_vs_device(budget):.2f}x "
+                  f"(paper: 2.18x... up to 2.18x at 1000 iterations)")
+            print()
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(
@@ -966,147 +1079,23 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if want == "platforms":
-        _print_platforms()
-        print(f"[done in {time.time() - t0:.1f}s]", file=sys.stderr)
-        return 0
-
-    if want == "workloads":
-        _print_workloads()
-        print(f"[done in {time.time() - t0:.1f}s]", file=sys.stderr)
-        return 0
-
-    if want == "ingest":
-        code = _run_ingest(args, platform)
-        print(f"[done in {time.time() - t0:.1f}s]", file=sys.stderr)
-        return code
-
-    if want == "campaign":
-        code = _run_campaign(workload, args)
-        print(f"[done in {time.time() - t0:.1f}s]", file=sys.stderr)
-        return code
-
-    if want == "matrix":
-        code = _run_matrix(args)
-        print(f"[done in {time.time() - t0:.1f}s]", file=sys.stderr)
-        return code
-
-    if want == "portfolio":
-        code = _run_portfolio(args, workload, platform)
-        print(f"[done in {time.time() - t0:.1f}s]", file=sys.stderr)
-        return code
-
-    if want == "store":
-        code = _run_store(args)
-        print(f"[done in {time.time() - t0:.1f}s]", file=sys.stderr)
-        return code
-
     if want == "serve":
         return _run_serve(args)
-
-    if want == "submit":
-        code = _run_submit(args, workload, platform)
-        print(f"[done in {time.time() - t0:.1f}s]", file=sys.stderr)
-        return code
-
-    if want == "tune":
-        code = _run_tune(platform, workload, args, engine)
-        print(f"[done in {time.time() - t0:.1f}s]", file=sys.stderr)
-        return code
-
-    needs_ctx = want not in ("table1", "table2", "table3")
-    ctx = None
-    if needs_ctx:
-        try:
-            ctx = platform_context(
-                args.platform or "emil",
-                args.seed,
-                workload.name.lower(),
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    if want in ("table1", "all"):
-        _print_table1()
-    if want in ("table2", "all"):
-        _print_table2()
-    if want in ("table3", "all"):
-        _print_table3(platform)
-    if want in ("fig2", "all"):
-        _print_fig2(ctx)
-    if want in ("fig5", "all"):
-        _print_prediction_curves(fig5_curves(ctx), "Fig. 5: host prediction accuracy")
-    if want in ("fig6", "all"):
-        _print_prediction_curves(fig6_curves(ctx), "Fig. 6: device prediction accuracy")
-    if want in ("fig7", "all"):
-        h = fig7_histogram(ctx)
-        print(render_histogram([r[0] for r in h.rows()], [r[1] for r in h.rows()],
-                               title="Fig. 7: host error histogram"))
-        print()
-    if want in ("fig8", "all"):
-        h = fig8_histogram(ctx)
-        print(render_histogram([r[0] for r in h.rows()], [r[1] for r in h.rows()],
-                               title="Fig. 8: device error histogram"))
-        print()
-    if want in ("table4", "all"):
-        _print_accuracy_table(table4(ctx), "Table IV: host prediction accuracy")
-    if want in ("table5", "all"):
-        _print_accuracy_table(table5(ctx), "Table V: device prediction accuracy")
-    if want in ("fig9", "table6", "table7", "table8", "table9", "summary", "all"):
-        study = run_iteration_study(ctx, n_seeds=args.seeds, engine=engine)
-        hdr = ["DNA", *[str(c) for c in CHECKPOINTS]]
-        if want in ("fig9", "all"):
-            from .experiments import line_plot
-
-            for genome in GENOME_ORDER:
-                series = study.fig9_series(genome)
-                print(
-                    render_series(
-                        list(CHECKPOINTS),
-                        series,
-                        x_label="iterations",
-                        title=f"Fig. 9: best measured time [s] — {genome}",
-                    )
-                )
-                print()
-                print(line_plot(
-                    list(CHECKPOINTS),
-                    series,
-                    title=f"Fig. 9 ({genome})",
-                    y_label="seconds",
-                    x_label="iterations",
-                ))
-                print()
-        if want in ("table6", "all"):
-            print(render_table(hdr, study.table6(), title="Table VI: percent difference [%]"))
-            print()
-        if want in ("table7", "all"):
-            print(render_table(hdr, study.table7(), title="Table VII: absolute difference [s]"))
-            print()
-        if want in ("table8", "all"):
-            print(render_table([*hdr, "EM"], study.table8(),
-                               title="Table VIII: speedup vs host-only (48 threads)"))
-            print()
-        if want in ("table9", "all"):
-            print(render_table([*hdr, "EM"], study.table9(),
-                               title="Table IX: speedup vs device-only (240 threads)"))
-            print()
-        if want in ("summary", "all"):
-            g = study.genomes["mouse"]
-            budget = 1000
-            print("Headline results (mouse genome, 1000 SA iterations):")
-            print(f"  experiments explored by SAML : {budget} "
-                  f"({100.0 * budget / ctx.space.size():.1f}% of the "
-                  f"{ctx.space.size()} EM experiments)")
-            print(f"  speedup vs host-only        : {g.speedup_vs_host(budget):.2f}x "
-                  f"(paper: 1.74x)")
-            print(f"  speedup vs device-only      : {g.speedup_vs_device(budget):.2f}x "
-                  f"(paper: 2.18x... up to 2.18x at 1000 iterations)")
-            print()
-
+    runners = {
+        "platforms": _print_platforms,
+        "workloads": _print_workloads,
+        "ingest": lambda: _run_ingest(args, platform),
+        "campaign": lambda: _run_campaign(workload, args),
+        "matrix": lambda: _run_matrix(args),
+        "portfolio": lambda: _run_portfolio(args, workload, platform),
+        "store": lambda: _run_store(args),
+        "submit": lambda: _run_submit(args, workload, platform),
+        "tune": lambda: _run_tune(platform, workload, args, engine),
+    }
+    run = runners.get(want, lambda: _run_studies(want, args, platform, workload, engine))
+    code = run() or 0
     print(f"[done in {time.time() - t0:.1f}s]", file=sys.stderr)
-    return 0
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

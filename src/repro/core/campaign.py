@@ -1,35 +1,28 @@
-"""Cross-platform tuning campaigns and workload x platform matrices.
+"""Per-cell tuning and workload x platform matrices.
 
-A *campaign* runs one optimization method (Table II) against every
-platform of a fleet and reports, per platform: the suggested system
-configuration, its measured time, how close it comes to the enumeration
-optimum (EM), the speedups over the host-only / device-only baselines,
-and the experiment budget the search consumed versus what a full
-enumeration would cost.  It answers the question the paper's single-node
-evaluation leaves open — does the tuning method keep working when core
-counts, accelerator mixes, and interconnects change?
+The paper tunes one ``(workload, platform)`` cell: :func:`tune_platform`
+runs one optimization method (Table II) on one platform and reports the
+suggested system configuration, its measured time, how close it comes
+to the enumeration optimum (EM), the speedups over the host-only /
+device-only baselines, and the experiment budget the search consumed
+versus what a full enumeration would cost.  :func:`tune_scenario` does
+the same for a registered workload at its own input scale.
 
-A *scenario matrix* (:func:`tune_matrix`) crosses the workload registry
-(:mod:`repro.dna.workloads`) with the platform registry: every
-``(workload, platform)`` cell gets its own measurement substrate,
-scenario-fitted configuration space, and batched engine, and reports
-the best configuration, its distance from the enumeration optimum, and
-the speedup over the host-only baseline — the scenario-diversity sweep
-the paper's single hard-wired workload cannot provide.
-
-Each platform gets its own measurement substrate, its own configuration
-space (fitted via :func:`~repro.core.params.platform_space`), and its
-own :class:`~repro.core.engine.EvaluationEngine` instance, so per-
-platform engine statistics and experiment budgets stay clean.  With
-``processes > 1`` whole platforms are scored concurrently over a
-process pool — every per-platform computation is deterministic given
-``(platform, method, seed)``, so the fan-out changes wall-clock time
-only, never results.  Dispatch goes through the fault-tolerant
-:func:`~repro.core.pool.run_tasks` loop: crashed or timed-out cells
-are re-dispatched under the options' retry policy, a wedged pool is
-rebuilt once, and repeated failure degrades to serial in-process
-execution — the campaign completes either way, with the ledger
-attached to the result's ``reliability`` field.
+A *scenario matrix* (:func:`tune_matrix`) crosses workloads from the
+registry (:mod:`repro.dna.workloads`) with platforms from the platform
+registry.  A fleet run — one method across many platforms — is the
+one-workload matrix ``tune_matrix([workload], platforms)``.  Every cell
+gets its own measurement substrate, scenario-fitted configuration space
+(:func:`~repro.core.params.workload_space`), and engine, so per-cell
+statistics and experiment budgets stay clean.  With ``processes > 1``
+whole cells are scored concurrently over a process pool — every cell is
+deterministic given ``(workload, platform, method, seed)``, so the
+fan-out changes wall-clock time only, never results.  Dispatch goes
+through the fault-tolerant :func:`~repro.core.pool.run_tasks` loop:
+crashed or timed-out cells are re-dispatched under the options' retry
+policy, a wedged pool is rebuilt once, and repeated failure degrades to
+serial in-process execution — the matrix completes either way, with
+the ledger attached to the result's ``reliability`` field.
 
 ML-backed methods (EML/SAML) retrain the predictors per platform (the
 paper's "once per platform" training workflow); platforms without an
@@ -53,7 +46,7 @@ from ..machines.perfmodel import DNA_SCAN, WorkloadProfile
 from ..machines.registry import get_platform, platform_names, resolve_platform
 from ..machines.simulator import PlatformSimulator
 from ..machines.spec import PlatformSpec
-from .methods import run_em, run_method
+from .methods import METHOD_PROPERTIES, run_em, run_method
 from .options import TuningOptions
 from .portfolio import ML_ENTRANTS, PortfolioResult
 from .params import (
@@ -70,7 +63,7 @@ ML_METHODS = ("EML", "SAML")
 
 #: Per-process cache of EM enumeration references, keyed by the full
 #: cell identity (platform, workload profile, space grids, size, seed,
-#: refinement fidelity).  Campaigns score the same (platform, workload)
+#: refinement fidelity).  Callers score the same (platform, workload)
 #: cell once per method; the EM reference is method-independent, so
 #: re-walking the space for every method is pure waste.  Entries are
 #: frozen :class:`~repro.core.methods.MethodResult` instances shared
@@ -78,7 +71,7 @@ ML_METHODS = ("EML", "SAML")
 #: worker is pre-seeded with *its cell's* entries only (those sharing
 #: the job's platform spec and workload profile, see
 #: :func:`_em_cache_by_cell`) and returns whatever it computed fresh,
-#: which the parent merges back — so a repeated campaign never re-walks
+#: which the parent merges back — so a repeated matrix never re-walks
 #: a cell, no matter the start method.
 _EM_CACHE: dict[tuple, "MethodResult"] = {}
 
@@ -237,7 +230,7 @@ def _merge_em_entries(fresh: dict[tuple, "MethodResult"]) -> None:
 
 @dataclass(frozen=True)
 class PlatformTuneReport:
-    """One platform's campaign row."""
+    """One (workload, platform) cell's tuning outcome."""
 
     platform: str
     description: str
@@ -295,73 +288,6 @@ class PlatformTuneReport:
         return self.device_only_time / self.measured_time
 
 
-@dataclass(frozen=True)
-class CampaignResult:
-    """All platforms' campaign rows plus comparison-table views."""
-
-    method: str
-    size_mb: float
-    reports: tuple[PlatformTuneReport, ...]
-    #: Dispatch-reliability ledger for this run (retries, timeouts,
-    #: degradations — see :func:`~repro.core.pool.run_tasks`).  Purely
-    #: observational: excluded from equality so a retried run compares
-    #: equal to its fault-free twin, which is the headline invariant.
-    reliability: RetryStats | None = field(default=None, compare=False, repr=False)
-
-    def __iter__(self):
-        return iter(self.reports)
-
-    def __len__(self) -> int:
-        return len(self.reports)
-
-    def report(self, platform: str) -> PlatformTuneReport:
-        """The row for one platform (by registry key or display name)."""
-        want = platform.strip().lower()
-        for r in self.reports:
-            if r.platform.lower() == want:
-                return r
-        known = ", ".join(r.platform for r in self.reports)
-        raise KeyError(f"no campaign report for {platform!r}; have: {known}")
-
-    def best_platform(self) -> PlatformTuneReport:
-        """The platform with the lowest tuned measured time."""
-        return min(self.reports, key=lambda r: r.measured_time)
-
-    def table_headers(self) -> list[str]:
-        """Column headers for :meth:`table_rows`."""
-        return [
-            "Platform",
-            "Best configuration",
-            "Time [s]",
-            "EM [s]",
-            "vs EM",
-            "vs host",
-            "vs device",
-            "Experiments",
-            "Budget [%]",
-        ]
-
-    def table_rows(self) -> list[tuple[object, ...]]:
-        """Per-platform comparison rows (printed by the CLI)."""
-        rows: list[tuple[object, ...]] = []
-        for r in self.reports:
-            vs_device = r.speedup_vs_device_only
-            rows.append(
-                (
-                    r.platform,
-                    r.config.describe(),
-                    round(r.measured_time, 3),
-                    round(r.em_time, 3),
-                    f"{r.quality_vs_em:.3f}x",
-                    f"{r.speedup_vs_host_only:.2f}x",
-                    "-" if vs_device is None else f"{vs_device:.2f}x",
-                    r.experiments,
-                    round(100.0 * r.budget_fraction, 2),
-                )
-            )
-        return rows
-
-
 def tune_platform(
     platform: PlatformSpec | str,
     *,
@@ -390,13 +316,17 @@ def tune_platform(
     ``refine`` are the multi-device enumeration knobs (see
     :func:`~repro.core.enumeration.enumerate_best_separable`); a
     direct call with ``options.processes`` set fans the enumeration
-    *shards* out (campaigns strip it via
+    *shards* out (matrices strip it via
     :meth:`~repro.core.options.TuningOptions.for_cell` so cell fan-out
     never nests pools).
     """
     opts = options or TuningOptions()
     spec = resolve_platform(platform)
     method = method.upper()
+    if method not in METHOD_PROPERTIES:
+        raise ValueError(
+            f"unknown method {method!r}; expected one of {', '.join(METHOD_PROPERTIES)}"
+        )
     if method in ML_METHODS:
         spec.require_device(
             f"method {method} needs per-platform trained predictors — use EM or SAM"
@@ -515,117 +445,6 @@ def _seed_and_diff_cache(seed_cache: dict[tuple, "MethodResult"]):
     return lambda: {k: v for k, v in _EM_CACHE.items() if k not in known}
 
 
-def _tune_platform_worker(
-    args: tuple,
-) -> tuple[PlatformTuneReport, dict[tuple, "MethodResult"]]:
-    """Picklable fan-out target for campaign cells.
-
-    Jobs carry the *resolved* :class:`~repro.machines.spec.PlatformSpec`
-    (not a registry name): worker processes start from a fresh registry,
-    so runtime-registered entries would not resolve by name there.
-    The job's seed cache holds only the parent's references for this
-    ``(platform, workload)`` cell.  Returns the report plus any
-    EM-cache entries this worker computed fresh, so the parent can
-    merge them back into its authoritative cache (workers are
-    throwaway processes; without the merge, a repeated campaign would
-    re-run every EM reference).
-    """
-    platform, kwargs, seed_cache = args
-    fresh_entries = _seed_and_diff_cache(seed_cache)
-    report = tune_platform(platform, **kwargs)
-    return report, fresh_entries()
-
-
-def _fan_out(worker, jobs: list, opts: TuningOptions) -> tuple[tuple, RetryStats]:
-    """Dispatch fan-out jobs under ``opts``' pool knobs, merging EM entries back.
-
-    The shared tail of :func:`tune_campaign` and :func:`tune_matrix`:
-    every job's fresh EM references join the parent cache (see
-    :func:`_merge_em_entries`); returns the reports in job order plus
-    the dispatch ledger.
-    """
-    outcomes, rstats = run_tasks(
-        worker,
-        jobs,
-        processes=opts.processes,
-        start_method=opts.start_method,
-        policy=opts.retry,
-    )
-    reports = []
-    for report, fresh in outcomes:
-        _merge_em_entries(fresh)
-        reports.append(report)
-    return tuple(reports), rstats
-
-
-def tune_campaign(
-    platforms: tuple[str, ...] | list[str] | None = None,
-    *,
-    method: str = "SAM",
-    size_mb: float = 3170.0,
-    iterations: int = 1000,
-    seed: int = 0,
-    workload: WorkloadProfile | WorkloadSpec | str = DNA_SCAN,
-    options: TuningOptions | None = None,
-) -> CampaignResult:
-    """Run one tuning method across a fleet of registered platforms.
-
-    ``platforms`` defaults to every registered platform (minus the
-    accelerator-less ones when ``method`` is ML-backed, which cannot
-    train a device predictor).  ``workload`` accepts a profile, a
-    registered workload name, or a :class:`~repro.dna.workloads.WorkloadSpec`
-    (see :func:`tune_platform`); use :func:`tune_matrix` to cross the
-    whole workload registry with the fleet.
-
-    Execution knobs arrive as one :class:`~repro.core.options.TuningOptions`
-    (``options=``, ``None`` for the defaults).  Each platform builds its
-    own engine from ``options.engine``, so batch/cache statistics stay
-    per-platform.  ``options.processes > 1`` scores platforms
-    concurrently over a process pool with identical results;
-    ``options.start_method`` pins the pool's start method (default:
-    safest available, see
-    :data:`~repro.core.pool.START_METHOD_PREFERENCE`).  Each worker is
-    pre-seeded with the parent's EM references for its own cell only
-    and its fresh entries are merged back, so repeated campaigns never
-    re-walk a cell and no job carries another cell's references.
-    Dispatch is fault-tolerant (``options.retry``, see
-    :func:`~repro.core.pool.run_tasks`): crashed or timed-out cells are
-    re-dispatched and the run degrades to serial rather than aborting,
-    with the ledger on the result's ``reliability`` field.
-    """
-    opts = options or TuningOptions()
-    method = method.upper()
-    if isinstance(workload, str):
-        # Resolve once in the parent: worker processes start from a
-        # fresh registry, where runtime-registered keys (e.g. ingested
-        # ``fasta:*`` workloads) would not resolve by name.
-        workload = get_workload(workload)
-    if platforms is None:
-        names = list(platform_names())
-        if method in ML_METHODS:
-            names = [n for n in names if get_platform(n).has_device]
-    else:
-        names = [n for n in platforms]
-    if not names:
-        raise ValueError("campaign needs at least one platform")
-    specs = [resolve_platform(name) for name in names]
-    kwargs = dict(
-        method=method,
-        size_mb=size_mb,
-        iterations=iterations,
-        seed=seed,
-        workload=workload,
-        options=opts.for_cell(),
-    )
-    cells = _em_cache_by_cell()
-    jobs = [(spec, kwargs, cells.get(_em_cell(spec, workload), {})) for spec in specs]
-    reports, rstats = _fan_out(_tune_platform_worker, jobs, opts)
-    return CampaignResult(method=method, size_mb=size_mb, reports=reports, reliability=rstats)
-
-
-# --- workload x platform scenario matrices ----------------------------------
-
-
 @dataclass(frozen=True)
 class ScenarioReport:
     """One ``(workload, platform)`` cell of a scenario matrix."""
@@ -673,9 +492,10 @@ class MatrixResult:
     workloads: tuple[str, ...]
     platforms: tuple[str, ...]
     reports: tuple[ScenarioReport, ...]
-    #: Dispatch-reliability ledger for this run (see
-    #: :class:`CampaignResult.reliability`); excluded from equality so a
-    #: retried matrix compares equal to its fault-free twin.
+    #: Dispatch-reliability ledger for this run (retries, timeouts,
+    #: degradations — see :func:`~repro.core.pool.run_tasks`).  Purely
+    #: observational: excluded from equality so a retried matrix compares
+    #: equal to its fault-free twin, which is the headline invariant.
     reliability: RetryStats | None = field(default=None, compare=False, repr=False)
 
     def __iter__(self):
@@ -795,9 +615,13 @@ def _tune_scenario_worker(
     Jobs carry the *resolved* workload and platform specs (not registry
     names) so runtime-registered entries — ingested ``fasta:*``
     workloads above all — tune identically through worker processes,
-    whose fresh registries could not resolve them by name.  Same
-    cell-scoped pre-seed / merge-back cache protocol as
-    :func:`_tune_platform_worker`.
+    whose fresh registries could not resolve them by name.  The job's
+    seed cache holds only the parent's references for this cell
+    (:func:`_em_cache_snapshot`).  Returns the report plus any EM-cache
+    entries this worker computed fresh, so the parent can merge them
+    back into its authoritative cache (workers are throwaway processes;
+    without the merge, a repeated matrix would re-run every EM
+    reference).
     """
     workload, platform, kwargs, seed_cache = args
     fresh_entries = _seed_and_diff_cache(seed_cache)
@@ -825,16 +649,24 @@ def tune_matrix(
     (when ``options.engine`` names one), so per-cell statistics and
     budgets stay clean.
 
+    A fleet run — one method across many platforms — is the
+    one-workload matrix ``tune_matrix([workload], platforms)``.
+
     Execution knobs arrive as one :class:`~repro.core.options.TuningOptions`
     (``options=``, ``None`` for the defaults).  ``options.processes > 1``
-    fans whole cells out over a process pool with identical results,
-    with the same start-method selection and EM-cache merge-back
-    protocol as :func:`tune_campaign`: the parent cache is grouped by
-    cell once and each job carries only its own cell's references.
-    ``options.shards`` / ``options.refine`` are the multi-device
-    enumeration knobs (see :func:`tune_platform`).  ``size_mb``
-    overrides the per-workload input scale for every cell (mostly
-    useful in tests).
+    fans whole cells out over a process pool with identical results;
+    ``options.start_method`` pins the pool's start method (default:
+    safest available, see
+    :data:`~repro.core.pool.START_METHOD_PREFERENCE`).  The parent EM
+    cache is grouped by cell once and each job carries only its own
+    cell's references; every job's fresh references are merged back
+    (:func:`_merge_em_entries`), so a repeated matrix never re-walks a
+    cell.  Dispatch is fault-tolerant (``options.retry``, see
+    :func:`~repro.core.pool.run_tasks`).  ``options.shards`` /
+    ``options.refine`` are the multi-device enumeration knobs (see
+    :func:`tune_platform`).  ``size_mb`` overrides the per-workload
+    input scale for every cell (``--size-mb`` of ``python -m repro
+    campaign``, and tests).
     """
     opts = options or TuningOptions()
     method = method.upper()
@@ -860,11 +692,19 @@ def tune_matrix(
     jobs = [
         (w, p, kwargs, cells.get(_em_cell(p, w), {})) for w in wspecs for p in pspecs
     ]
-    reports, rstats = _fan_out(_tune_scenario_worker, jobs, opts)
+    outcomes, rstats = run_tasks(
+        _tune_scenario_worker,
+        jobs,
+        processes=opts.processes,
+        start_method=opts.start_method,
+        policy=opts.retry,
+    )
+    for _report, fresh in outcomes:
+        _merge_em_entries(fresh)
     return MatrixResult(
         method=method,
         workloads=tuple(w.name for w in wspecs),
         platforms=tuple(p.name for p in pspecs),
-        reports=reports,
+        reports=tuple(report for report, _fresh in outcomes),
         reliability=rstats,
     )

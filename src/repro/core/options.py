@@ -4,7 +4,6 @@
 ``start_method`` (plus ``retry`` / ``transfer`` / ``portfolio``) are
 declared once, here.  :func:`~repro.core.campaign.tune_platform`,
 :func:`~repro.core.campaign.tune_scenario`,
-:func:`~repro.core.campaign.tune_campaign`,
 :func:`~repro.core.campaign.tune_matrix`,
 :meth:`~repro.core.tuner.WorkDistributionTuner.tune`,
 :meth:`~repro.service.store.CellKey.for_request`, the CLI and the
@@ -57,7 +56,7 @@ class TuningOptions:
         Coarse-to-fine target share step [%] for multi-device
         enumeration, or ``None`` for the coarse grid only.
     processes:
-        Fan campaign/matrix cells (or enumeration shards) out over this
+        Fan matrix cells (or enumeration shards) out over this
         many worker processes; ``None``/``1`` runs serially.
     start_method:
         Pool start method override (default: safest available, see

@@ -1,9 +1,8 @@
 """Process-pool start-method selection and fault-tolerant dispatch.
 
 Two jobs live here.  :func:`pool_context` answers "which
-multiprocessing context should a pool use?" for the campaign fan-out
-(:func:`~repro.core.campaign.tune_campaign` /
-:func:`~repro.core.campaign.tune_matrix`) and the share-simplex shard
+multiprocessing context should a pool use?" for the matrix cell fan-out
+(:func:`~repro.core.campaign.tune_matrix`) and the share-simplex shard
 pool (:func:`~repro.core.enumeration.enumerate_best_separable`).
 :func:`run_tasks` is the dispatch loop those layers actually call: it
 fans a list of pure, pickled jobs across a pool under a

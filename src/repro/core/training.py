@@ -21,8 +21,6 @@ from ..ml.dataset import (
     DEVICE_FEATURE_NAMES,
     HOST_FEATURE_NAMES,
     Dataset,
-    encode_device_row,
-    encode_host_row,
     encode_side_columns,
 )
 from ..ml.validation import EvalResult, Regressor, half_split
@@ -88,22 +86,6 @@ def side_combos(
     return thread_g.ravel(), code_g.ravel()
 
 
-def _grid_items(
-    sizes_mb: Sequence[float],
-    fractions: Sequence[float],
-    threads: Sequence[int],
-    affinities: Sequence[str],
-) -> list[tuple[int, str, float]]:
-    """One side's experiment grid in the canonical (paper) order."""
-    combos = [(t, a) for t in threads for a in affinities]
-    return [
-        (t, a, size * f / 100.0)
-        for size in sizes_mb
-        for f in fractions
-        for t, a in combos
-    ]
-
-
 def _grid_columns(
     sizes_mb: Sequence[float],
     fractions: Sequence[float],
@@ -112,9 +94,9 @@ def _grid_columns(
     """One side's grid as ``(threads, affinity codes, mb)`` columns.
 
     ``combos`` is the side's precomputed (thread, code) cross product
-    from :func:`side_combos`, tiled across the size x fraction product.
-    Row order and megabyte values match :func:`_grid_items` exactly
-    (same ``size * f / 100`` expression, elementwise).
+    from :func:`side_combos`, tiled across the size x fraction product:
+    rows run size-major, then fraction, then (thread, affinity), and
+    each row's megabytes are ``size * f / 100``.
     """
     thread_c, code_c = combos
     size_g, frac_g = np.meshgrid(
@@ -136,7 +118,6 @@ def generate_training_data(
     device_threads: Sequence[int] = DEVICE_THREADS,
     device_affinities: Sequence[str] = DEVICE_AFFINITIES,
     fractions: Sequence[float] = TRAINING_FRACTIONS,
-    processes: int | None = None,
 ) -> TrainingData:
     """Run the full training grid on the measurement substrate.
 
@@ -144,30 +125,18 @@ def generate_training_data(
     experiments, matching section IV-B.  Each side's grid is generated,
     measured, and feature-encoded as whole columns through the
     simulator's vectorized analytic core (identical values, rows, and
-    experiment accounting to the historical per-call loop); ``processes``
-    instead fans per-item timing work out over a worker pool, which only
-    pays off for far more expensive substrates than the analytic model.
+    experiment accounting to the historical per-call loop).
     """
-    if processes is not None and processes > 1:
-        host_items = _grid_items(sizes_mb, fractions, host_threads, host_affinities)
-        device_items = _grid_items(sizes_mb, fractions, device_threads, device_affinities)
-        host_y = np.asarray(sim.measure_host_batch(host_items, processes=processes))
-        device_y = np.asarray(sim.measure_device_batch(device_items, processes=processes))
-        host_X = np.array([encode_host_row(t, a, mb) for t, a, mb in host_items])
-        device_X = np.array([encode_device_row(t, a, mb) for t, a, mb in device_items])
-    else:
-        h_threads, h_codes, h_mb = _grid_columns(
-            sizes_mb, fractions, side_combos(host_threads, host_affinities, "host")
-        )
-        d_threads, d_codes, d_mb = _grid_columns(
-            sizes_mb,
-            fractions,
-            side_combos(device_threads, device_affinities, "device"),
-        )
-        host_y = sim.measure_host_columns(h_threads, h_codes, h_mb)
-        device_y = sim.measure_device_columns(d_threads, d_codes, d_mb)
-        host_X = encode_side_columns(h_threads, h_codes, h_mb, HOST_AFFINITIES)
-        device_X = encode_side_columns(d_threads, d_codes, d_mb, DEVICE_AFFINITIES)
+    h_threads, h_codes, h_mb = _grid_columns(
+        sizes_mb, fractions, side_combos(host_threads, host_affinities, "host")
+    )
+    d_threads, d_codes, d_mb = _grid_columns(
+        sizes_mb, fractions, side_combos(device_threads, device_affinities, "device")
+    )
+    host_y = sim.measure_host_columns(h_threads, h_codes, h_mb)
+    device_y = sim.measure_device_columns(d_threads, d_codes, d_mb)
+    host_X = encode_side_columns(h_threads, h_codes, h_mb, HOST_AFFINITIES)
+    device_X = encode_side_columns(d_threads, d_codes, d_mb, DEVICE_AFFINITIES)
     return TrainingData(
         host=Dataset(host_X, host_y, HOST_FEATURE_NAMES),
         device=Dataset(device_X, device_y, DEVICE_FEATURE_NAMES),

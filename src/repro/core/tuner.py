@@ -135,17 +135,11 @@ class WorkDistributionTuner:
 
     # -- training ----------------------------------------------------------
 
-    def train(
-        self,
-        *,
-        sizes_mb: tuple[float, ...] | None = None,
-        processes: int | None = None,
-    ) -> TrainedModels:
+    def train(self, *, sizes_mb: tuple[float, ...] | None = None) -> TrainedModels:
         """Generate the training grid and fit the per-side predictors.
 
         Expensive (the paper's grid is 7200 experiments) but done once;
         afterwards :meth:`tune` with SAML/EML costs no experiments.
-        ``processes`` parallelizes the batched measurement campaign.
         The grids follow the tuner's configuration space, so non-Emil
         platforms train on thread counts their hardware actually has;
         ``sizes_mb`` defaults to the paper's four genome sizes, rescaled
@@ -171,7 +165,6 @@ class WorkDistributionTuner:
             host_affinities=self.space.host_affinities,
             device_threads=self.space.device_threads,
             device_affinities=self.space.device_affinities,
-            processes=processes,
         )
         self._models = train_models(data, seed=self.seed)
         return self._models

@@ -369,48 +369,26 @@ class PlatformSimulator:
         """Columnar :meth:`measure_device` over equal-length arrays."""
         return self._measure_columns("device", threads, affinities, mb, device)
 
-    def _measure_batch(
-        self, side: str, items, processes: int | None = None, device: int = 0
-    ) -> list[float]:
+    def _measure_batch(self, side: str, items, device: int = 0) -> list[float]:
         """Measure many ``(threads, affinity, mb)`` items on one side.
 
         Values, experiment counts, and the measurement log are identical
         to per-item ``measure_*`` calls (noise is deterministic per
-        configuration).  Without a process pool the items go through the
-        columnar fast path; with ``processes > 1`` the pure timing work
-        fans out over a process pool while accounting stays in-process —
-        only worthwhile for objectives whose per-call cost dwarfs IPC.
+        configuration); the items go through the columnar fast path.
         """
         items = [(int(t), a, float(mb)) for t, a, mb in items]
-        if processes is not None and processes > 1 and len(items) > 1:
-            import multiprocessing
-
-            try:
-                context = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX platforms
-                context = multiprocessing.get_context("spawn")
-            with context.Pool(processes) as pool:
-                times = pool.starmap(
-                    self._timed, [(side, t, a, mb, device) for t, a, mb in items]
-                )
-            for (threads, affinity, mb), t in zip(items, times):
-                self._experiments += 1
-                self._blocks.append(Measurement(side, threads, affinity, mb, t, device))
-            return list(times)
         threads = np.fromiter((it[0] for it in items), dtype=np.int64, count=len(items))
         mb_arr = np.fromiter((it[2] for it in items), dtype=np.float64, count=len(items))
         affinities = [it[1] for it in items]
         return self._measure_columns(side, threads, affinities, mb_arr, device).tolist()
 
-    def measure_host_batch(self, items, *, processes: int | None = None) -> list[float]:
+    def measure_host_batch(self, items) -> list[float]:
         """Batched :meth:`measure_host` over ``(threads, affinity, mb)`` items."""
-        return self._measure_batch("host", items, processes)
+        return self._measure_batch("host", items)
 
-    def measure_device_batch(
-        self, items, *, processes: int | None = None, device: int = 0
-    ) -> list[float]:
+    def measure_device_batch(self, items, *, device: int = 0) -> list[float]:
         """Batched :meth:`measure_device` over ``(threads, affinity, mb)`` items."""
-        return self._measure_batch("device", items, processes, device)
+        return self._measure_batch("device", items, device)
 
     def true_host_time(self, threads: int, affinity: str, mb: float) -> float:
         """Noiseless host time; not counted as an experiment (oracle access)."""

@@ -1,30 +1,22 @@
 """Work-distribution runtime: divisible partitioning, the overlapped
 offload execution model (Eq. 2, host + N devices), and static/adaptive
-schedules.  Multi-accelerator configurations live in the core
-abstraction now; :mod:`repro.runtime.multidevice` re-exports them for
-compatibility.
+schedules.  Multi-accelerator configurations are core
+:class:`~repro.core.params.SystemConfiguration` values (one
+:class:`~repro.core.params.DeviceSlot` per card), executed by
+:func:`run_configuration`; :func:`proportional_shares` builds the
+throughput-proportional starting split.
 """
 
-from .multidevice import (
-    DeviceAssignment,
-    MultiDeviceConfiguration,
-    MultiDeviceOutcome,
-    MultiDeviceRuntime,
-)
 from .offload import ExecutionOutcome, resolve_simulator, run_configuration
 from .partition import Partition, contiguous_spans, split_elements, split_shares
 from .qilin import LinearTimeModel, QilinPartitioner, fit_linear_time
-from .schedule import AdaptiveRebalancer, RebalanceStep, StaticSchedule
+from .schedule import AdaptiveRebalancer, RebalanceStep, StaticSchedule, proportional_shares
 from .taskfarm import TaskFarmResult, TaskFarmScheduler, TaskRecord
 
 __all__ = [
     "LinearTimeModel",
     "QilinPartitioner",
     "fit_linear_time",
-    "DeviceAssignment",
-    "MultiDeviceConfiguration",
-    "MultiDeviceOutcome",
-    "MultiDeviceRuntime",
     "ExecutionOutcome",
     "resolve_simulator",
     "run_configuration",
@@ -35,6 +27,7 @@ __all__ = [
     "AdaptiveRebalancer",
     "RebalanceStep",
     "StaticSchedule",
+    "proportional_shares",
     "TaskFarmResult",
     "TaskFarmScheduler",
     "TaskRecord",

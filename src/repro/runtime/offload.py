@@ -84,9 +84,18 @@ def run_configuration(
     zero seconds and is not launched at all, exactly like a real
     offload runtime skipping an empty region.  ``noiseless=True`` uses
     oracle times (no experiment accounting) — used for reporting "true"
-    qualities, never by the optimizers.
+    qualities, never by the optimizers.  The configuration must drive
+    every card of the platform (deviceless platforms keep one wired,
+    never-launched device side), so a card cannot be left idle by a
+    configuration built for a smaller node.
     """
     sim = resolve_simulator(sim)
+    cards = max(1, sim.num_devices)
+    if config.num_devices != cards:
+        raise ValueError(
+            f"configuration has {config.num_devices} devices, "
+            f"platform {sim.platform.name} has {cards}"
+        )
     host_mb, device_mbs = config.part_megabytes(size_mb)
     if noiseless:
         th = (

@@ -6,18 +6,55 @@ workload-aware approaches"; :class:`AdaptiveRebalancer` implements the
 natural candidate: run a few timed rounds and move work toward the side
 that finishes early, proportionally to the observed per-side throughput.
 The ablation bench compares it against the SAML static schedule.
+:func:`proportional_shares` is the static throughput-proportional
+starting point for nodes with one or more accelerators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
+from ..core.params import DeviceSlot, SystemConfiguration
 from ..machines.simulator import PlatformSimulator
 from .offload import ExecutionOutcome, resolve_simulator, run_configuration
 
-if TYPE_CHECKING:  # pragma: no cover
-    from ..core.params import SystemConfiguration
+
+def proportional_shares(
+    sim: "PlatformSimulator | str",
+    host_threads: int,
+    host_affinity: str,
+    device_threads: int,
+    device_affinity: str,
+    size_mb: float,
+) -> SystemConfiguration:
+    """Shares proportional to each part's standalone throughput.
+
+    Every part — the host and each card of the simulator's platform —
+    gets a share proportional to its noiseless throughput on the full
+    workload (a common static heuristic, cf. CoreTsar's linear model);
+    every card runs ``device_threads`` / ``device_affinity``.
+    """
+    sim = resolve_simulator(sim)
+    sim.platform.require_device("proportional shares split work across accelerators")
+    host_t = sim.true_host_time(host_threads, host_affinity, size_mb)
+    rates = [size_mb / host_t if host_t > 0 else 0.0]
+    for k in range(sim.num_devices):
+        t = sim.true_device_time(device_threads, device_affinity, size_mb, device=k)
+        rates.append(size_mb / t if t > 0 else 0.0)
+    total = sum(rates)
+    shares = [100.0 * r / total for r in rates]
+    # Largest-remainder style fixup to hit exactly 100.
+    shares[0] += 100.0 - sum(shares)
+    return SystemConfiguration(
+        host_threads=host_threads,
+        host_affinity=host_affinity,
+        device_threads=device_threads,
+        device_affinity=device_affinity,
+        host_fraction=shares[0],
+        extra_devices=tuple(
+            DeviceSlot(device_threads, device_affinity, s) for s in shares[2:]
+        ),
+    )
 
 
 @dataclass(frozen=True)

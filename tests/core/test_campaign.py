@@ -1,22 +1,32 @@
-"""Cross-platform tuning campaigns (core/campaign.py)."""
+"""Per-platform tuning and fleet runs (core/campaign.py).
+
+A fleet run is a one-workload matrix: ``tune_matrix([workload], platforms)``.
+"""
 
 import multiprocessing
 
 import pytest
 
-from repro.core import TuningOptions, platform_space, tune_campaign, tune_platform
-from repro.core.campaign import CampaignResult
+from repro.core import TuningOptions, campaign, platform_space, tune_matrix, tune_platform
+from repro.core.campaign import MatrixResult
 from repro.machines import MANYCORE, get_platform, platform_names
-from repro.machines.perfmodel import DNA_SCAN
+from repro.dna.workloads import get_workload
 
 SIZE_MB = 600.0
 ITERS = 120
+WORKLOAD = "dna-paper"
+
+
+def fleet(platforms=None, **kwargs) -> MatrixResult:
+    """One SAM fleet run: the ``dna-paper`` row over ``platforms``."""
+    kwargs = {"method": "SAM", "size_mb": SIZE_MB, "iterations": ITERS, **kwargs}
+    return tune_matrix([WORKLOAD], platforms, **kwargs)
 
 
 @pytest.fixture(scope="module")
-def sam_campaign() -> CampaignResult:
-    """One small SAM campaign across the whole registered fleet."""
-    return tune_campaign(method="SAM", size_mb=SIZE_MB, iterations=ITERS, seed=0)
+def sam_fleet() -> MatrixResult:
+    """One small SAM fleet run across the whole registered fleet."""
+    return fleet(seed=0)
 
 
 class TestTunePlatform:
@@ -51,86 +61,35 @@ class TestTunePlatform:
         with pytest.raises(ValueError, match="no accelerator"):
             tune_platform("manycore", method="SAML", size_mb=SIZE_MB, iterations=ITERS)
 
+    def test_unknown_method_rejected_before_the_em_walk(self):
+        campaign.clear_em_cache()
+        with pytest.raises(ValueError, match="unknown method 'FOO'"):
+            tune_platform("emil", method="FOO")
+        assert len(campaign._EM_CACHE) == 0
+
     def test_em_method_reports_full_budget(self):
         r = tune_platform("manycore", method="EM", size_mb=SIZE_MB)
         assert r.experiments == r.space_size
         assert r.quality_vs_em == pytest.approx(1.0)
 
 
-class TestTuneCampaign:
-    def test_covers_every_registered_platform(self, sam_campaign):
-        assert len(sam_campaign) == len(platform_names())
-        assert {r.platform.lower() for r in sam_campaign} == set(platform_names())
-
-    def test_rows_align_with_headers(self, sam_campaign):
-        headers = sam_campaign.table_headers()
-        for row in sam_campaign.table_rows():
-            assert len(row) == len(headers)
-
-    def test_report_lookup_by_name(self, sam_campaign):
-        assert sam_campaign.report("emil").platform == "Emil"
-        with pytest.raises(KeyError):
-            sam_campaign.report("cray-1")
-
-    def test_best_platform_is_the_fastest(self, sam_campaign):
-        best = sam_campaign.best_platform()
-        assert best.measured_time == min(r.measured_time for r in sam_campaign)
+class TestFleet:
+    def test_covers_every_registered_platform(self, sam_fleet):
+        assert len(sam_fleet) == len(platform_names())
+        assert {r.platform.lower() for r in sam_fleet} == set(platform_names())
 
     def test_explicit_platform_subset(self):
-        res = tune_campaign(
-            ("emil", "slowlink"), method="SAM", size_mb=SIZE_MB, iterations=ITERS
-        )
+        res = fleet(("emil", "slowlink"))
         assert [r.platform for r in res] == ["Emil", "SlowLink"]
 
     def test_saml_trains_and_tunes_a_platform(self):
         # ML search costs no experiments beyond the final measurement.
-        res = tune_campaign(
-            ("emil",), method="SAML", size_mb=SIZE_MB, iterations=ITERS
-        )
-        assert res.report("emil").experiments == 1  # only the final measurement
-
-    def test_ml_campaign_skips_deviceless_platforms(self, monkeypatch):
-        from repro.core import campaign as campaign_mod
-
-        seen = []
-
-        def fake_tune_platform(platform, **kwargs):
-            # Campaign jobs carry resolved specs (runtime-registered
-            # platforms must survive pool fan-out), not registry names.
-            seen.append(platform.name.lower())
-            return tune_platform(platform, method="EM", size_mb=SIZE_MB)
-
-        monkeypatch.setattr(campaign_mod, "tune_platform", fake_tune_platform)
-        campaign_mod.tune_campaign(method="SAML", size_mb=SIZE_MB)
-        assert "manycore" not in seen
-        assert "emil" in seen
-
-    def test_empty_campaign_rejected(self):
-        with pytest.raises(ValueError, match="at least one platform"):
-            tune_campaign(())
-
-    def test_process_fanout_matches_serial_results(self, sam_campaign):
-        fanned = tune_campaign(
-            method="SAM",
-            size_mb=SIZE_MB,
-            iterations=ITERS,
-            seed=0,
-            options=TuningOptions(processes=2),
-        )
-        assert [r.config for r in fanned] == [r.config for r in sam_campaign]
-        assert [r.measured_time for r in fanned] == [
-            r.measured_time for r in sam_campaign
-        ]
+        res = fleet(("emil",), method="SAML")
+        assert res.cell(WORKLOAD, "emil").report.experiments == 1
 
     def test_engine_none_disables_engine_stats(self):
-        res = tune_campaign(
-            ("emil",),
-            method="SAM",
-            size_mb=SIZE_MB,
-            iterations=40,
-            options=TuningOptions(engine=None),
-        )
-        assert res.report("emil").engine_batches == 0
+        res = fleet(("emil",), iterations=40, options=TuningOptions(engine=None))
+        assert res.cell(WORKLOAD, "emil").report.engine_batches == 0
 
 
 class TestEMReferenceCache:
@@ -218,135 +177,70 @@ class TestEMCacheMergeBack:
     def _worker_kwargs(self) -> dict:
         return dict(method="SAM", size_mb=SIZE_MB, iterations=ITERS, seed=0)
 
-    def test_preseeded_worker_runs_no_duplicate_em_walk(self):
-        from repro.core import campaign
+    def _worker_job(self, seed_cache) -> tuple:
+        return (WORKLOAD, "emil", self._worker_kwargs(), seed_cache)
 
+    def test_preseeded_worker_runs_no_duplicate_em_walk(self):
         campaign.clear_em_cache()
-        tune_platform("emil", **self._worker_kwargs())
+        tune_platform("emil", workload=WORKLOAD, **self._worker_kwargs())
         assert len(campaign._EM_CACHE) == 1
-        snapshot = campaign._em_cache_snapshot(get_platform("emil"), DNA_SCAN)
+        snapshot = campaign._em_cache_snapshot(get_platform("emil"), get_workload(WORKLOAD))
         assert snapshot == campaign._EM_CACHE
-        report, fresh = campaign._tune_platform_worker(
-            ("emil", self._worker_kwargs(), snapshot)
-        )
+        report, fresh = campaign._tune_scenario_worker(self._worker_job(snapshot))
         # The worker found its cell pre-seeded: nothing fresh to return.
         assert fresh == {}
-        assert report.em_config == next(iter(snapshot.values())).config
+        assert report.report.em_config == next(iter(snapshot.values())).config
         campaign.clear_em_cache()
 
     def test_cold_worker_returns_its_fresh_entries(self):
-        from repro.core import campaign
-
         campaign.clear_em_cache()
-        report, fresh = campaign._tune_platform_worker(
-            ("emil", self._worker_kwargs(), {})
-        )
+        report, fresh = campaign._tune_scenario_worker(self._worker_job({}))
         assert len(fresh) == 1
         (entry,) = fresh.values()
-        assert entry.config == report.em_config
+        assert entry.config == report.report.em_config
         campaign.clear_em_cache()
 
-    def test_pooled_campaign_populates_the_parent_cache(self):
-        from repro.core import campaign
-
+    def test_pooled_fleet_populates_the_parent_cache(self):
         campaign.clear_em_cache()
-        first = tune_campaign(
-            ("emil", "fathost"),
-            method="SAM",
-            size_mb=SIZE_MB,
-            iterations=ITERS,
-            options=TuningOptions(processes=2),
-        )
+        first = fleet(("emil", "fathost"), options=TuningOptions(processes=2))
         # Worker-computed EM references travel back over the pipe and
         # land in the parent's cache.
         assert len(campaign._EM_CACHE) == 2
         cached = {entry.config for entry in campaign._EM_CACHE.values()}
-        assert {r.em_config for r in first} == cached
+        assert {r.report.em_config for r in first} == cached
         campaign.clear_em_cache()
 
-    def test_repeated_campaign_never_rewalks_a_cell(self, monkeypatch):
-        from repro.core import campaign
-
+    def test_repeated_fleet_never_rewalks_a_cell(self, monkeypatch):
         campaign.clear_em_cache()
-        first = tune_campaign(
-            ("emil", "fathost"),
-            method="SAM",
-            size_mb=SIZE_MB,
-            iterations=ITERS,
-            options=TuningOptions(processes=2),
-        )
-        # Every cell is now cached in the parent; a repeat campaign must
+        first = fleet(("emil", "fathost"), options=TuningOptions(processes=2))
+        # Every cell is now cached in the parent; a repeat fleet run must
         # not enumerate again, pooled or not.
         def forbidden(*args, **kwargs):
             raise AssertionError("EM reference re-walked despite a warm cache")
 
         monkeypatch.setattr(campaign, "run_em", forbidden)
-        again = tune_campaign(
-            ("emil", "fathost"),
-            method="SAM",
-            size_mb=SIZE_MB,
-            iterations=ITERS,
-        )
-        assert [r.em_time for r in again] == [r.em_time for r in first]
+        again = fleet(("emil", "fathost"))
+        assert [r.report.em_time for r in again] == [r.report.em_time for r in first]
         assert len(campaign._EM_CACHE) == 2
         campaign.clear_em_cache()
 
 
-class TestCellScopedPreseed:
-    """Each fan-out job carries only its own cell's EM references."""
-
-    def test_jobs_hold_only_their_cells_references(self, monkeypatch):
-        from repro.core import campaign
-
-        campaign.clear_em_cache()
-        kwargs = dict(method="SAM", size_mb=SIZE_MB, iterations=ITERS)
-        tune_campaign(("emil", "fathost"), **kwargs)
-        # Same cell at another size, and an unrelated platform.
-        tune_platform("emil", **{**kwargs, "size_mb": 2 * SIZE_MB})
-        tune_platform("slowlink", **kwargs)
-        assert len(campaign._EM_CACHE) == 4
-
-        jobs = []
-        real = campaign.run_tasks
-
-        def spy(worker, batch, **options):
-            jobs.extend(batch)
-            return real(worker, batch, **options)
-
-        monkeypatch.setattr(campaign, "run_tasks", spy)
-        tune_campaign(("emil", "fathost"), **kwargs)
-
-        sizes = {}
-        for spec, _kwargs, seed_cache in jobs:
-            assert all(
-                key[0] == spec and key[1] == DNA_SCAN for key in seed_cache
-            ), spec.name
-            sizes[spec.name] = len(seed_cache)
-        assert sizes == {"Emil": 2, "FatHost": 1}
-        campaign.clear_em_cache()
-
-
-class TestCampaignStartMethods:
+class TestFleetStartMethods:
     @pytest.fixture(scope="class")
-    def serial(self) -> CampaignResult:
-        return tune_campaign(
-            ("emil", "slowlink"), method="SAM", size_mb=SIZE_MB, iterations=ITERS
-        )
+    def serial(self) -> MatrixResult:
+        return fleet(("emil", "slowlink"))
 
     @pytest.mark.parametrize(
         "start_method", multiprocessing.get_all_start_methods()
     )
     def test_results_are_start_method_independent(self, serial, start_method):
-        fanned = tune_campaign(
+        fanned = fleet(
             ("emil", "slowlink"),
-            method="SAM",
-            size_mb=SIZE_MB,
-            iterations=ITERS,
             options=TuningOptions(processes=2, start_method=start_method),
         )
         assert [r.config for r in fanned] == [r.config for r in serial]
-        assert [r.measured_time for r in fanned] == [
-            r.measured_time for r in serial
+        assert [r.report.measured_time for r in fanned] == [
+            r.report.measured_time for r in serial
         ]
 
     def test_default_context_prefers_the_safest_method(self):
@@ -358,10 +252,7 @@ class TestCampaignStartMethods:
 
     def test_unknown_start_method_rejected(self):
         with pytest.raises(ValueError, match="not available"):
-            tune_campaign(
+            fleet(
                 ("emil", "slowlink"),
-                method="SAM",
-                size_mb=SIZE_MB,
-                iterations=ITERS,
                 options=TuningOptions(processes=2, start_method="no-such-method"),
             )

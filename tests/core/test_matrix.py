@@ -1,5 +1,7 @@
 """Workload x platform scenario matrices (core/campaign.py)."""
 
+import hashlib
+import json
 import multiprocessing
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from repro.core import TuningOptions, campaign, tune_matrix, tune_scenario
 from repro.core.campaign import MatrixResult
 from repro.dna.workloads import SHORT_READ, get_workload
+from repro.service.serde import encode_platform_report
 
 WORKLOADS = ("dna-paper", "short-read", "dense-motif")
 PLATFORMS = ("emil", "fathost", "slowlink")
@@ -146,6 +149,24 @@ class TestTuneMatrix:
         ((sizes, data),) = grids
         assert sizes == training_sizes_for(SHORT_READ)
         assert data.host.X[:, -1].max() <= SHORT_READ.sequence_mb
+
+
+#: sha256 of the encoded reports of the one-workload fleet matrix below
+#: (SAM, dna-paper at 1000 MB, every registered platform, 120
+#: iterations, seed 0).  Fleet runs are one-workload matrices; a change
+#: here means fleet results moved.
+GOLDEN_FLEET_SHA256 = "4b464de0a000328427911be9fd63767a792c55dd94a42c85ae149e19f8eba7c8"
+
+
+class TestFleetGolden:
+    def test_one_workload_fleet_matrix_is_bit_identical(self):
+        res = tune_matrix(
+            ["dna-paper"], method="SAM", size_mb=1000.0, iterations=120, seed=0
+        )
+        blob = json.dumps(
+            [encode_platform_report(cell.report) for cell in res], sort_keys=True
+        )
+        assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN_FLEET_SHA256
 
 
 def capture_jobs(monkeypatch) -> list:

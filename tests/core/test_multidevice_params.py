@@ -93,7 +93,7 @@ class TestShareSimplex:
             assert union == list(vectors)
 
 
-class TestMultiDeviceConfiguration:
+class TestMultiDeviceSystemConfiguration:
     def test_share_vector_and_residual_primary(self):
         c = two_device_config(40.0, 35.0)
         assert c.num_devices == 2

@@ -1,4 +1,4 @@
-"""Campaign/matrix bit-identity under seeded fault plans (the headline invariant).
+"""Fleet/matrix bit-identity under seeded fault plans (the headline invariant).
 
 A pooled ``tune_matrix`` run under an adversarial plan — one cell
 crashing, one hanging past the per-attempt deadline — must return a
@@ -12,7 +12,7 @@ import multiprocessing
 
 import pytest
 
-from repro.core import tune_campaign, tune_matrix
+from repro.core import tune_matrix
 from repro.core.options import TuningOptions
 from repro.reliability import FaultPlan, RetryPolicy, RetryStats, injected_faults
 
@@ -27,9 +27,9 @@ POOLED_RETRY = RetryPolicy(
 )
 
 
-def matrix(options=None):
+def matrix(options=None, workloads=WORKLOADS):
     return tune_matrix(
-        WORKLOADS,
+        workloads,
         PLATFORMS,
         method="SAM",
         size_mb=SIZE_MB,
@@ -37,6 +37,11 @@ def matrix(options=None):
         seed=0,
         options=options,
     )
+
+
+def fleet(options=None):
+    """A one-workload matrix: the dna-paper row over ``PLATFORMS``."""
+    return matrix(options, workloads=("dna-paper",))
 
 
 class TestMatrixChaos:
@@ -67,42 +72,26 @@ class TestMatrixChaos:
         assert result.reliability.attempts >= len(result.reports)
 
 
-class TestCampaignChaos:
-    def test_campaign_survives_the_adversary(self):
-        baseline = tune_campaign(
-            PLATFORMS, method="SAM", size_mb=SIZE_MB, iterations=ITERS
-        )
+class TestFleetChaos:
+    def test_fleet_survives_the_adversary(self):
+        baseline = fleet()
         plan = FaultPlan.adversarial(seed=2, tasks=2, hang_s=0.02)
         with injected_faults(plan):
-            chaotic = tune_campaign(
-                PLATFORMS,
-                method="SAM",
-                size_mb=SIZE_MB,
-                iterations=ITERS,
-                options=TuningOptions(retry=SERIAL_RETRY),
-            )
+            chaotic = fleet(TuningOptions(retry=SERIAL_RETRY))
         assert chaotic == baseline
         assert not chaotic.reliability.clean
 
     def test_adversary_never_changes_the_winner(self):
         # A different seed steers the faults at different cells; the
         # tuned configurations must not move.
-        baseline = tune_campaign(
-            PLATFORMS, method="SAM", size_mb=SIZE_MB, iterations=ITERS
-        )
+        baseline = fleet()
         for seed in (1, 4):
             plan = FaultPlan.adversarial(seed=seed, tasks=2, hang_s=0.02)
             with injected_faults(plan):
-                chaotic = tune_campaign(
-                    PLATFORMS,
-                    method="SAM",
-                    size_mb=SIZE_MB,
-                    iterations=ITERS,
-                    options=TuningOptions(retry=SERIAL_RETRY),
-                )
+                chaotic = fleet(TuningOptions(retry=SERIAL_RETRY))
             assert [r.config for r in chaotic] == [r.config for r in baseline]
-            assert [r.measured_time for r in chaotic] == [
-                r.measured_time for r in baseline
+            assert [r.report.measured_time for r in chaotic] == [
+                r.report.measured_time for r in baseline
             ]
 
 
@@ -110,21 +99,13 @@ class TestCampaignChaos:
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="pooled chaos pins fork (see test_pool_chaos module docstring)",
 )
-class TestPooledCampaignChaos:
-    def test_pooled_campaign_matches_fault_free_twin(self):
-        baseline = tune_campaign(
-            PLATFORMS, method="SAM", size_mb=SIZE_MB, iterations=ITERS
-        )
+class TestPooledFleetChaos:
+    def test_pooled_fleet_matches_fault_free_twin(self):
+        baseline = fleet()
         plan = FaultPlan.adversarial(seed=13, tasks=2, hang_s=2.5)
         with injected_faults(plan):
-            chaotic = tune_campaign(
-                PLATFORMS,
-                method="SAM",
-                size_mb=SIZE_MB,
-                iterations=ITERS,
-                options=TuningOptions(
-                    processes=2, start_method="fork", retry=POOLED_RETRY
-                ),
+            chaotic = fleet(
+                TuningOptions(processes=2, start_method="fork", retry=POOLED_RETRY)
             )
         assert chaotic == baseline
         assert not chaotic.reliability.clean

@@ -1,117 +1,82 @@
-"""Multi-accelerator extension (1-8 devices)."""
+"""Multi-accelerator execution (1-8 devices) on core configurations."""
 
 import pytest
 
-from repro.machines import EMIL
-from repro.runtime import (
-    DeviceAssignment,
-    MultiDeviceConfiguration,
-    MultiDeviceRuntime,
-)
+from repro.core.params import DeviceSlot, SystemConfiguration
+from repro.machines import EMIL, PlatformSimulator
+from repro.runtime import proportional_shares, run_configuration
 
 
-def two_device_config(host_share=40.0):
+def two_device_config(host_share=40.0, second_share=None):
     each = (100.0 - host_share) / 2
-    return MultiDeviceConfiguration(
-        host_threads=48,
-        host_affinity="scatter",
-        host_share=host_share,
-        devices=(
-            DeviceAssignment(240, "balanced", each),
-            DeviceAssignment(240, "balanced", each),
+    return SystemConfiguration(
+        48,
+        "scatter",
+        240,
+        "balanced",
+        host_share,
+        extra_devices=(
+            DeviceSlot(240, "balanced", each if second_share is None else second_share),
         ),
     )
 
 
+def sim_with(n: int) -> PlatformSimulator:
+    return PlatformSimulator(EMIL.with_devices(n), seed=0)
+
+
 class TestConfiguration:
-    def test_shares_must_sum_to_100(self):
+    def test_shares_cannot_exceed_100(self):
         with pytest.raises(ValueError, match="sum to 100"):
-            MultiDeviceConfiguration(
-                host_threads=48,
-                host_affinity="scatter",
-                host_share=50.0,
-                devices=(DeviceAssignment(240, "balanced", 40.0),),
-            )
+            two_device_config(host_share=50.0, second_share=60.0)
 
     def test_assignment_validation(self):
         with pytest.raises(ValueError):
-            DeviceAssignment(0, "balanced", 10.0)
+            DeviceSlot(0, "balanced", 10.0)
         with pytest.raises(ValueError):
-            DeviceAssignment(60, "balanced", 101.0)
+            DeviceSlot(60, "balanced", 101.0)
 
 
 class TestRuntime:
     def test_outcome_total_is_max_over_all_parts(self):
-        rt = MultiDeviceRuntime(EMIL.with_devices(2), seed=0)
-        out = rt.run(two_device_config(), 3170.0)
+        out = run_configuration(sim_with(2), two_device_config(), 3170.0)
         assert out.total == max(out.t_host, *out.t_devices)
         assert len(out.t_devices) == 2
 
     def test_device_count_mismatch_rejected(self):
-        rt = MultiDeviceRuntime(EMIL.with_devices(2), seed=0)
-        single = MultiDeviceConfiguration(
-            host_threads=48,
-            host_affinity="scatter",
-            host_share=60.0,
-            devices=(DeviceAssignment(240, "balanced", 40.0),),
-        )
+        single = SystemConfiguration(48, "scatter", 240, "balanced", 60.0)
         with pytest.raises(ValueError, match="devices"):
-            rt.run(single, 1000.0)
+            run_configuration(sim_with(2), single, 1000.0)
+        with pytest.raises(ValueError, match="devices"):
+            run_configuration(sim_with(1), two_device_config(), 1000.0)
 
     def test_zero_share_device_is_idle(self):
-        rt = MultiDeviceRuntime(EMIL.with_devices(2), seed=0)
-        cfg = MultiDeviceConfiguration(
-            host_threads=48,
-            host_affinity="scatter",
-            host_share=60.0,
-            devices=(
-                DeviceAssignment(240, "balanced", 40.0),
-                DeviceAssignment(240, "balanced", 0.0),
-            ),
-        )
-        out = rt.run(cfg, 1000.0)
+        cfg = two_device_config(host_share=60.0, second_share=0.0)
+        out = run_configuration(sim_with(2), cfg, 1000.0)
         assert out.t_devices[1] == 0.0
 
     def test_proportional_shares_sum_to_100(self):
-        rt = MultiDeviceRuntime(EMIL.with_devices(3), seed=0)
-        cfg = rt.proportional_shares(48, "scatter", 240, "balanced", 3170.0)
-        total = cfg.host_share + sum(d.share for d in cfg.devices)
-        assert total == pytest.approx(100.0)
+        cfg = proportional_shares(sim_with(3), 48, "scatter", 240, "balanced", 3170.0)
+        assert cfg.num_devices == 3
+        assert sum(cfg.shares) == pytest.approx(100.0)
+
+    def test_proportional_shares_need_a_device(self):
+        with pytest.raises(ValueError, match="no accelerator"):
+            proportional_shares("manycore", 48, "scatter", 240, "balanced", 3170.0)
 
     def test_more_devices_reduce_execution_time(self):
         times = []
         for n in (1, 2, 4):
-            rt = MultiDeviceRuntime(EMIL.with_devices(n), seed=0)
-            cfg = rt.proportional_shares(48, "scatter", 240, "balanced", 3170.0)
-            times.append(rt.run(cfg, 3170.0).total)
+            sim = sim_with(n)
+            cfg = proportional_shares(sim, 48, "scatter", 240, "balanced", 3170.0)
+            times.append(run_configuration(sim, cfg, 3170.0).total)
         assert times[0] > times[1] > times[2]
 
-    def test_identity_device_specs_override_keeps_per_card_calibrations(self):
-        # Passing the platform's own card list must not change timing:
-        # per-card PerfProfiles survive the override (regression: the
-        # heterogeneous card used to fall back to the primary's
-        # calibration).
-        from repro.machines import MIXEDPHI
-
-        plain = MultiDeviceRuntime(MIXEDPHI, noise=False)
-        overridden = MultiDeviceRuntime(
-            MIXEDPHI, device_specs=MIXEDPHI.device_specs, noise=False
-        )
-        for k in range(MIXEDPHI.num_devices):
-            assert plain.sim.true_device_time(236, "balanced", 500.0, device=k) == (
-                overridden.sim.true_device_time(236, "balanced", 500.0, device=k)
-            )
-
     def test_proportional_beats_naive_equal_split(self):
-        rt = MultiDeviceRuntime(EMIL.with_devices(2), seed=0)
-        prop = rt.proportional_shares(48, "scatter", 240, "balanced", 3170.0)
-        naive = MultiDeviceConfiguration(
-            host_threads=48,
-            host_affinity="scatter",
-            host_share=100.0 / 3,
-            devices=(
-                DeviceAssignment(240, "balanced", 100.0 / 3),
-                DeviceAssignment(240, "balanced", 100.0 - 2 * 100.0 / 3),
-            ),
+        sim = sim_with(2)
+        prop = proportional_shares(sim, 48, "scatter", 240, "balanced", 3170.0)
+        naive = two_device_config(host_share=100.0 / 3)
+        assert (
+            run_configuration(sim, prop, 3170.0).total
+            < run_configuration(sim, naive, 3170.0).total
         )
-        assert rt.run(prop, 3170.0).total < rt.run(naive, 3170.0).total
