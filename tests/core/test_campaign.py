@@ -78,6 +78,20 @@ class TestFleet:
         assert len(sam_fleet) == len(platform_names())
         assert {r.platform.lower() for r in sam_fleet} == set(platform_names())
 
+    def test_rows_align_with_headers(self, sam_fleet):
+        headers = sam_fleet.table_headers()
+        for row in sam_fleet.table_rows():
+            assert len(row) == len(headers)
+
+    def test_report_lookup_by_name(self, sam_fleet):
+        assert sam_fleet.cell(WORKLOAD, "emil").platform == "Emil"
+        with pytest.raises(KeyError):
+            sam_fleet.cell(WORKLOAD, "cray-1")
+
+    def test_best_platform_is_the_fastest(self, sam_fleet):
+        best = sam_fleet.best_platform_for(WORKLOAD)
+        assert best.report.measured_time == min(r.report.measured_time for r in sam_fleet)
+
     def test_explicit_platform_subset(self):
         res = fleet(("emil", "slowlink"))
         assert [r.platform for r in res] == ["Emil", "SlowLink"]
@@ -90,6 +104,31 @@ class TestFleet:
     def test_engine_none_disables_engine_stats(self):
         res = fleet(("emil",), iterations=40, options=TuningOptions(engine=None))
         assert res.cell(WORKLOAD, "emil").report.engine_batches == 0
+
+    def test_ml_fleet_skips_deviceless_platforms(self, monkeypatch):
+        seen = []
+
+        def fake_tune_platform(platform, **kwargs):
+            # Fleet jobs carry resolved specs (runtime-registered
+            # platforms must survive pool fan-out), not registry names.
+            seen.append(platform.name.lower())
+            return tune_platform(platform, method="EM", size_mb=SIZE_MB)
+
+        monkeypatch.setattr(campaign, "tune_platform", fake_tune_platform)
+        fleet(method="SAML")
+        assert "manycore" not in seen
+        assert "emil" in seen
+
+    def test_empty_fleet_rejected(self):
+        with pytest.raises(ValueError, match="at least one workload and one platform"):
+            fleet(())
+
+    def test_process_fanout_matches_serial_results(self, sam_fleet):
+        fanned = fleet(seed=0, options=TuningOptions(processes=2))
+        assert [r.config for r in fanned] == [r.config for r in sam_fleet]
+        assert [r.report.measured_time for r in fanned] == [
+            r.report.measured_time for r in sam_fleet
+        ]
 
 
 class TestEMReferenceCache:
@@ -222,6 +261,38 @@ class TestEMCacheMergeBack:
         again = fleet(("emil", "fathost"))
         assert [r.report.em_time for r in again] == [r.report.em_time for r in first]
         assert len(campaign._EM_CACHE) == 2
+        campaign.clear_em_cache()
+
+
+class TestCellScopedPreseed:
+    """Each fleet job carries only its own cell's EM references."""
+
+    def test_jobs_hold_only_their_cells_references(self, monkeypatch):
+        campaign.clear_em_cache()
+        kwargs = dict(method="SAM", size_mb=SIZE_MB, iterations=ITERS, workload=WORKLOAD)
+        fleet(("emil", "fathost"))
+        # Same cell at another size, and an unrelated platform.
+        tune_platform("emil", **{**kwargs, "size_mb": 2 * SIZE_MB})
+        tune_platform("slowlink", **kwargs)
+        assert len(campaign._EM_CACHE) == 4
+
+        jobs = []
+        real = campaign.run_tasks
+
+        def spy(worker, batch, **options):
+            jobs.extend(batch)
+            return real(worker, batch, **options)
+
+        monkeypatch.setattr(campaign, "run_tasks", spy)
+        fleet(("emil", "fathost"))
+
+        sizes = {}
+        for workload, spec, _kwargs, seed_cache in jobs:
+            assert workload.name == WORKLOAD
+            cell = campaign._em_cell(spec, workload)
+            assert all(key[:2] == cell for key in seed_cache), spec.name
+            sizes[spec.name] = len(seed_cache)
+        assert sizes == {"Emil": 2, "FatHost": 1}
         campaign.clear_em_cache()
 
 
