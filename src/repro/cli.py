@@ -261,25 +261,22 @@ def _print_accuracy_table(t, title: str) -> None:
 
 def _run_tune(platform, workload, args, engine) -> int:
     """One end-to-end tuning run: method + engine -> suggested config."""
-    from .core.methods import run_method
-    from .core.params import workload_space
-    from .machines.simulator import PlatformSimulator
+    from .core.methods import check_size_mb, run_method
+    from .core.tuner import WorkDistributionTuner
 
     method = (args.method or "SAML").upper()
     try:
-        space = workload_space(workload, platform)
-        sim = PlatformSimulator(platform, workload.profile(), seed=args.seed)
+        tuner = WorkDistributionTuner(platform, workload, seed=args.seed)
         ml = None
         if method in ("EML", "SAML"):
             platform.require_device(f"{method} needs trained predictors — use EM or SAM")
-            ml = platform_context(
-                platform.name.lower(), args.seed, workload.name.lower()
-            ).ml()
+            ml = tuner.models.evaluator()
         size_mb = args.size_mb if args.size_mb is not None else workload.sequence_mb
+        check_size_mb(size_mb)
         result = run_method(
             method,
-            space,
-            sim,
+            tuner.space,
+            tuner.sim,
             size_mb,
             ml=ml,
             iterations=args.iterations,

@@ -46,16 +46,10 @@ from ..machines.perfmodel import DNA_SCAN, WorkloadProfile
 from ..machines.registry import get_platform, platform_names, resolve_platform
 from ..machines.simulator import PlatformSimulator
 from ..machines.spec import PlatformSpec
-from .methods import METHOD_PROPERTIES, run_em, run_method
+from .methods import METHOD_PROPERTIES, baseline_times, check_size_mb, run_em, run_method
 from .options import TuningOptions
 from .portfolio import ML_ENTRANTS, PortfolioResult
-from .params import (
-    SystemConfiguration,
-    device_only_config,
-    host_only_config,
-    platform_space,
-    workload_space,
-)
+from .params import SystemConfiguration, cell_space
 from .pool import run_tasks
 
 #: Methods that need per-platform trained predictors.
@@ -244,8 +238,10 @@ class PlatformTuneReport:
     experiments: int  # timed experiments the method consumed
     search_evaluations: int
     space_size: int
-    engine_batches: int
-    engine_cache_hits: int
+    #: Engine counters describe how the cell was computed, not its
+    #: result: they are reported but left out of equality.
+    engine_batches: int = field(compare=False)
+    engine_cache_hits: int = field(compare=False)
     #: Static training-grid charge for ML-backed cells (the plan cost of
     #: :mod:`repro.ml.transfer` — independent of runtime cache/store
     #: reuse, so reports stay pure functions of the cell identity).
@@ -320,6 +316,7 @@ def tune_platform(
     :meth:`~repro.core.options.TuningOptions.for_cell` so cell fan-out
     never nests pools).
     """
+    check_size_mb(size_mb)
     opts = options or TuningOptions()
     spec = resolve_platform(platform)
     method = method.upper()
@@ -332,10 +329,7 @@ def tune_platform(
             f"method {method} needs per-platform trained predictors — use EM or SAM"
         )
     workload_spec, workload = resolve_workload(workload)
-    if workload_spec is None:
-        space = platform_space(spec)
-    else:
-        space = workload_space(workload_spec, spec)
+    space = cell_space(spec, workload_spec)
     engine_obj = opts.engine_instance()
 
     em = _em_reference(spec, workload, space, size_mb, seed, opts.shards, opts.refine)
@@ -352,10 +346,8 @@ def tune_platform(
         from ..ml.transfer import cell_models
 
         # Registered workloads rescale the training grid to their input
-        # scale (the spec is passed through); cold training here is
-        # bit-identical to the historical WorkDistributionTuner path,
-        # with the per-process/model-store reuse tiers on top, and
-        # ``options.transfer`` switches on warm-started training.
+        # scale (the spec is passed through); ``options.transfer``
+        # switches on warm-started training.
         models = cell_models(
             spec,
             workload_spec if workload_spec is not None else workload,
@@ -398,17 +390,9 @@ def tune_platform(
             start_method=opts.start_method,
         )
 
-    baseline_sim = PlatformSimulator(spec, workload, seed=seed)
-    host_cfg = host_only_config(max(space.host_threads))
-    host_only = baseline_sim.measure_host(
-        host_cfg.host_threads, host_cfg.host_affinity, size_mb
+    host_only, device_only = baseline_times(
+        PlatformSimulator(spec, workload, seed=seed), space, size_mb
     )
-    device_only = None
-    if spec.has_device:
-        device_cfg = device_only_config(max(space.device_threads))
-        device_only = baseline_sim.measure_device(
-            device_cfg.device_threads, device_cfg.device_affinity, size_mb
-        )
 
     stats = engine_obj.stats if engine_obj is not None else None
     return PlatformTuneReport(

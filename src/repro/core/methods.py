@@ -13,6 +13,7 @@ measured values", section IV-C).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..machines.simulator import PlatformSimulator
@@ -25,7 +26,7 @@ from .enumeration import (
     enumerate_best_separable_ml,
 )
 from .evaluators import EnergyObjective, MeasurementEvaluator, MLEvaluator
-from .params import ParameterSpace, SystemConfiguration
+from .params import ParameterSpace, SystemConfiguration, device_only_config, host_only_config
 
 #: Table II, verbatim.
 METHOD_PROPERTIES: dict[str, dict[str, str]] = {
@@ -80,6 +81,29 @@ class MethodResult:
     def measured_time(self) -> float:
         """Measured E of the suggested configuration (seconds)."""
         return self.measured.value
+
+
+def check_size_mb(size_mb: float) -> None:
+    """Reject an input size no cell can be tuned for (not finite, or <= 0);
+    entry points call this before any work reaches the caches or the store."""
+    if not (math.isfinite(size_mb) and size_mb > 0):
+        raise ValueError(f"size_mb must be a positive finite number, got {size_mb!r}")
+
+
+def baseline_times(
+    sim: PlatformSimulator, space: ParameterSpace, size_mb: float
+) -> tuple[float, float | None]:
+    """Measured host-only / device-only times with every thread of ``space``
+    (the paper's baselines); device is ``None`` without an accelerator.
+    Noise is fixed per configuration, so any simulator of the cell agrees."""
+    host_cfg = host_only_config(max(space.host_threads))
+    host = sim.measure_host(host_cfg.host_threads, host_cfg.host_affinity, size_mb)
+    if not sim.platform.has_device:
+        return host, None
+    device_cfg = device_only_config(max(space.device_threads))
+    return host, sim.measure_device(
+        device_cfg.device_threads, device_cfg.device_affinity, size_mb
+    )
 
 
 def _measure_config(

@@ -1032,3 +1032,12 @@ def workload_space(
     # axis regardless of grid resolution (4 steps on the paper's grid).
     max_steps = max(1, round(DEFAULT_SPACE.max_fraction_steps * (len(fractions) - 1) / 40))
     return platform_space(platform, fractions=fractions, max_fraction_steps=max_steps)
+
+
+def cell_space(platform: PlatformSpec, workload_spec=None) -> ParameterSpace:
+    """A cell's default space: :func:`workload_space` for a registered
+    workload spec, :func:`platform_space` for a raw profile (``None``),
+    which carries no input scale."""
+    if workload_spec is None:
+        return platform_space(platform)
+    return workload_space(workload_spec, platform)

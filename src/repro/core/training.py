@@ -1,16 +1,21 @@
-"""Training-data generation and model fitting (paper section III-B).
+"""Training-data generation, model fitting and the held-out protocol
+(paper section III-B).
 
 The paper generates ~7200 experiments — 2880 on the host (6 thread
 counts x 3 affinities x 40 fractions x 4 genomes) and 4320 on the device
 (9 x 3 x 40 x 4) — and trains the Boosted Decision Tree Regression on
-half of them, evaluating on the other half.  This module reproduces
-that pipeline against the measurement substrate and packages the result
-as an :class:`~repro.core.evaluators.MLEvaluator` ready for SAML/EML.
+half of them, evaluating on the other half.  This module holds the
+pieces of that pipeline: the grid (:func:`space_training_data`), the
+fit (:func:`train_models`) and the held-out evaluation
+(:func:`evaluate_models`).  :func:`repro.ml.transfer.cell_models` is
+the one place that puts them together for a cell; the tuner and the
+experiment contexts train through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,9 +28,9 @@ from ..ml.dataset import (
     Dataset,
     encode_side_columns,
 )
-from ..ml.validation import EvalResult, Regressor, half_split
+from ..ml.validation import EvalResult, Regressor, evaluate_held_out, half_split
 from .evaluators import MLEvaluator
-from .params import DEVICE_THREADS, EVAL_HOST_THREADS
+from .params import DEVICE_THREADS, EVAL_HOST_THREADS, ParameterSpace
 from ..machines.affinity import DEVICE_AFFINITIES, HOST_AFFINITIES, affinity_index
 
 #: Training fractions: 2.5%..100% in 2.5 steps (40 values, excludes 0 —
@@ -38,17 +43,20 @@ TRAINING_FRACTIONS: tuple[float, ...] = tuple(
 DEFAULT_TRAINING_SIZES_MB: tuple[float, ...] = (3170.0, 2770.0, 2430.0, 2380.0)
 
 
-def training_sizes_for(workload) -> tuple[float, ...]:
+def training_sizes_for(workload=None) -> tuple[float, ...]:
     """The training-grid sizes fitted to a workload's input scale.
 
     The paper trains on its four genome sizes; other workloads keep the
     same four-point *shape* rescaled so the grid brackets the sizes the
     scenario will actually tune (``WorkloadSpec.sequence_mb`` maps onto
     the largest genome).  For ``dna-paper`` the ratio is exactly 1 and
-    the paper's sizes are returned verbatim.
+    the paper's sizes are returned verbatim, as they are for ``None``
+    (a raw profile, which carries no input scale).
     """
     from ..dna.workloads import get_workload
 
+    if workload is None:
+        return DEFAULT_TRAINING_SIZES_MB
     spec = get_workload(workload)
     ratio = spec.sequence_mb / DEFAULT_TRAINING_SIZES_MB[0]
     if ratio == 1.0:
@@ -143,17 +151,69 @@ def generate_training_data(
     )
 
 
+def space_training_data(
+    sim: PlatformSimulator,
+    space: ParameterSpace,
+    sizes_mb: Sequence[float],
+    fractions: Sequence[float] = TRAINING_FRACTIONS,
+) -> TrainingData:
+    """:func:`generate_training_data` over a configuration space's
+    per-side thread and affinity axes (a cell's training grid)."""
+    return generate_training_data(
+        sim,
+        sizes_mb=sizes_mb,
+        host_threads=space.host_threads,
+        host_affinities=space.host_affinities,
+        device_threads=space.device_threads,
+        device_affinities=space.device_affinities,
+        fractions=fractions,
+    )
+
+
+def evaluate_models(models, data: TrainingData, *, seed: int = 0) -> dict[str, EvalResult]:
+    """Held-out evaluation of a model pair: each side scored by
+    :func:`~repro.ml.validation.evaluate_held_out` on the half its fit
+    never saw, so ``seed`` must be the cell seed the models were trained
+    with.  ``models`` is anything with ``host_model``/``device_model``.
+    """
+    return {
+        "host": evaluate_held_out(models.host_model, data.host, seed=seed),
+        "device": evaluate_held_out(models.device_model, data.device, seed=seed),
+    }
+
+
 @dataclass
 class TrainedModels:
-    """Fitted per-side predictors plus their held-out evaluations."""
+    """Fitted per-side predictors with the grid and seed they were fitted on.
+
+    The held-out evaluations are worked out by :func:`evaluate_models`
+    the first time one of them is read, so fitting alone never predicts.
+    """
 
     host_model: Regressor
     device_model: Regressor
-    host_eval: EvalResult
-    device_eval: EvalResult
-    host_test_idx: np.ndarray
-    device_test_idx: np.ndarray
     data: TrainingData
+    seed: int
+
+    @cached_property
+    def _held_out(self) -> dict[str, EvalResult]:
+        return evaluate_models(self, self.data, seed=self.seed)
+
+    @property
+    def host_eval(self) -> EvalResult:
+        return self._held_out["host"]
+
+    @property
+    def device_eval(self) -> EvalResult:
+        return self._held_out["device"]
+
+    @property
+    def host_test_idx(self) -> np.ndarray:
+        return half_split(len(self.data.host), seed=self.seed)[1]
+
+    @property
+    def device_test_idx(self) -> np.ndarray:
+        return half_split(len(self.data.device), seed=self.seed)[1]
 
     def evaluator(self) -> MLEvaluator:
         """The ML-backed configuration evaluator for SAML/EML."""
@@ -178,35 +238,15 @@ def train_models(
     model_factory: Callable[[], Regressor] = default_model_factory,
     seed: int = 0,
 ) -> TrainedModels:
-    """Half/half split per side, fit, and evaluate Eqs. 5-6 on the held-out
-    halves (the protocol of section IV-B)."""
-    results = {}
-    for side, ds in (("host", data.host), ("device", data.device)):
-        train_idx, test_idx = half_split(len(ds), seed=seed)
+    """Fit each side on its training half of the section IV-B split.
+
+    The held-out half is left for :func:`evaluate_models`, which runs
+    only when an evaluation is read.
+    """
+    fitted = []
+    for ds in (data.host, data.device):
+        train_idx, _test_idx = half_split(len(ds), seed=seed)
         model = model_factory()
         model.fit(ds.X[train_idx], ds.y[train_idx])
-        pred = model.predict(ds.X[test_idx])
-        truth = ds.y[test_idx]
-        from ..ml.metrics import mean_absolute_error, mean_percent_error
-
-        results[side] = (
-            model,
-            EvalResult(
-                mean_absolute_error_s=mean_absolute_error(truth, pred),
-                mean_percent_error=mean_percent_error(truth, pred),
-                n_train=len(train_idx),
-                n_test=len(test_idx),
-                measured=truth,
-                predicted=pred,
-            ),
-            test_idx,
-        )
-    return TrainedModels(
-        host_model=results["host"][0],
-        device_model=results["device"][0],
-        host_eval=results["host"][1],
-        device_eval=results["device"][1],
-        host_test_idx=results["host"][2],
-        device_test_idx=results["device"][2],
-        data=data,
-    )
+        fitted.append(model)
+    return TrainedModels(*fitted, data=data, seed=seed)

@@ -5,6 +5,11 @@ predictor once, and then answers "how should this workload be shared
 between host and device?" for any input size — the end-to-end system the
 paper describes.  See ``examples/quickstart.py`` for typical use.
 
+Training goes through :func:`repro.ml.transfer.cell_models`, the one
+cell training pipeline, so a tuner shares fitted models with
+:func:`~repro.core.campaign.tune_platform` through the process model
+registry and the bound result store.
+
 Trained predictors can be persisted (:meth:`WorkDistributionTuner.save_models`
 / :meth:`load_models`) so the 7200-experiment training cost is paid once
 per platform, matching the paper's "once the model is trained" workflow.
@@ -21,21 +26,10 @@ from ..machines.registry import get_platform
 from ..machines.simulator import PlatformSimulator
 from ..machines.spec import EMIL, PlatformSpec
 from .energy import Energy
-from .methods import MethodResult, run_method
+from .methods import MethodResult, baseline_times, check_size_mb, run_method
 from .options import TuningOptions
-from .params import (
-    ParameterSpace,
-    SystemConfiguration,
-    device_only_config,
-    host_only_config,
-    platform_space,
-)
-from .training import (
-    DEFAULT_TRAINING_SIZES_MB,
-    TrainedModels,
-    generate_training_data,
-    train_models,
-)
+from .params import ParameterSpace, SystemConfiguration, cell_space
+from .training import TrainedModels, space_training_data, training_sizes_for
 
 
 @dataclass
@@ -99,11 +93,11 @@ class WorkDistributionTuner:
         :meth:`repro.dna.DNASequenceAnalysis.workload_profile` to tune
         the actual application.
     space:
-        Configuration space; by default it is fitted to the platform's
-        thread capacities via :func:`~repro.core.params.platform_space`
-        (for Emil that is exactly the paper's Table I space) — and,
-        when the workload is given by name/spec, to the workload's
-        input scale via :func:`~repro.core.params.workload_space`.
+        Configuration space; by default the cell's
+        :func:`~repro.core.params.cell_space`: fitted to the platform's
+        thread capacities (for Emil that is exactly the paper's Table I
+        space) and, when the workload is given by name/spec, to the
+        workload's input scale.
     seed:
         Controls measurement noise and annealing randomness.
     """
@@ -121,52 +115,28 @@ class WorkDistributionTuner:
         self.platform = get_platform(platform)
         self.workload_spec, workload = resolve_workload(workload)
         self.workload = workload
-        if space is not None:
-            self.space = space
-        elif self.workload_spec is not None:
-            from .params import workload_space
-
-            self.space = workload_space(self.workload_spec, self.platform)
-        else:
-            self.space = platform_space(self.platform)
+        self.space = space if space is not None else cell_space(self.platform, self.workload_spec)
         self.seed = seed
         self.sim = PlatformSimulator(self.platform, workload, seed=seed)
         self._models: TrainedModels | None = None
 
     # -- training ----------------------------------------------------------
 
-    def train(self, *, sizes_mb: tuple[float, ...] | None = None) -> TrainedModels:
-        """Generate the training grid and fit the per-side predictors.
+    def train(self) -> TrainedModels:
+        """Fit the per-side predictors for this tuner's cell.
 
-        Expensive (the paper's grid is 7200 experiments) but done once;
-        afterwards :meth:`tune` with SAML/EML costs no experiments.
-        The grids follow the tuner's configuration space, so non-Emil
-        platforms train on thread counts their hardware actually has;
-        ``sizes_mb`` defaults to the paper's four genome sizes, rescaled
-        to the workload's input scale when the tuner was built from a
-        named workload (see
-        :func:`~repro.core.training.training_sizes_for`).
+        The models come from :func:`~repro.ml.transfer.cell_models` (a
+        memory or store hit when the cell was trained before); the grid
+        follows the tuner's space and the workload's input scale, and is
+        kept on the returned models so their held-out evaluations can be
+        read.  Afterwards :meth:`tune` with SAML/EML costs no experiments.
         """
-        self.platform.require_device(
-            "ML-backed methods (EML/SAML) need a device-side training grid — "
-            "use the measurement-based methods (EM/SAM) instead"
-        )
-        if sizes_mb is None:
-            if self.workload_spec is not None:
-                from .training import training_sizes_for
+        from ..ml.transfer import cell_models
 
-                sizes_mb = training_sizes_for(self.workload_spec)
-            else:
-                sizes_mb = DEFAULT_TRAINING_SIZES_MB
-        data = generate_training_data(
-            self.sim,
-            sizes_mb=sizes_mb,
-            host_threads=self.space.host_threads,
-            host_affinities=self.space.host_affinities,
-            device_threads=self.space.device_threads,
-            device_affinities=self.space.device_affinities,
-        )
-        self._models = train_models(data, seed=self.seed)
+        workload = self.workload if self.workload_spec is None else self.workload_spec
+        pair = cell_models(self.platform, workload, self.space, seed=self.seed)
+        data = space_training_data(self.sim, self.space, training_sizes_for(self.workload_spec))
+        self._models = TrainedModels(pair.host_model, pair.device_model, data, self.seed)
         return self._models
 
     @property
@@ -251,8 +221,7 @@ class WorkDistributionTuner:
         :func:`~repro.core.enumeration.enumerate_best_separable`);
         annealing methods and single-device spaces ignore them.
         """
-        if size_mb <= 0:
-            raise ValueError(f"size_mb must be positive, got {size_mb}")
+        check_size_mb(size_mb)
         opts = options or TuningOptions(engine=None)
         ml = None
         if method.upper() in ("EML", "SAML"):
@@ -271,18 +240,9 @@ class WorkDistributionTuner:
             processes=opts.processes,
             start_method=opts.start_method,
         )
-        host_cfg = host_only_config(max(self.space.host_threads))
-        host_only = Energy(
-            self.sim.measure_host(host_cfg.host_threads, host_cfg.host_affinity, size_mb),
-            0.0,
+        host_only, device_only = baseline_times(self.sim, self.space, size_mb)
+        return TuningOutcome(
+            result=result,
+            host_only=Energy(host_only, 0.0),
+            device_only=None if device_only is None else Energy(0.0, device_only),
         )
-        device_only = None
-        if self.platform.has_device:
-            device_cfg = device_only_config(max(self.space.device_threads))
-            device_only = Energy(
-                0.0,
-                self.sim.measure_device(
-                    device_cfg.device_threads, device_cfg.device_affinity, size_mb
-                ),
-            )
-        return TuningOutcome(result=result, host_only=host_only, device_only=device_only)

@@ -2,8 +2,11 @@
 
 Every figure/table module needs the same expensive preliminaries (the
 7200-experiment training grid and the fitted predictors).  An
-:class:`ExperimentContext` builds them once and is passed around by the
-benchmarks, so regenerating all artifacts costs one training run.
+:class:`ExperimentContext` takes them from a
+:class:`~repro.core.tuner.WorkDistributionTuner` once and is passed
+around by the benchmarks, so regenerating all artifacts costs one
+training run — and a cell the tuning paths already trained in this
+process costs none.
 """
 
 from __future__ import annotations
@@ -12,21 +15,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ..core.evaluators import MLEvaluator
-from ..core.params import ParameterSpace, platform_space, workload_space
-from ..core.training import (
-    DEFAULT_TRAINING_SIZES_MB,
-    TrainedModels,
-    generate_training_data,
-    train_models,
-    training_sizes_for,
-)
+from ..core.params import ParameterSpace
+from ..core.training import TrainedModels
+from ..core.tuner import WorkDistributionTuner
 from ..dna.sequence import GENOME_ORDER, GENOMES
-from ..dna.workloads import (
-    DEFAULT_WORKLOAD_KEY,
-    WorkloadSpec,
-    get_workload,
-    resolve_workload,
-)
+from ..dna.workloads import DEFAULT_WORKLOAD_KEY, WorkloadSpec, get_workload
 from ..machines.perfmodel import DNA_SCAN, WorkloadProfile
 from ..machines.simulator import PlatformSimulator
 from ..machines.spec import EMIL, PlatformSpec
@@ -58,41 +51,20 @@ def build_context(
     space: ParameterSpace | None = None,
     seed: int = 0,
 ) -> ExperimentContext:
-    """Run the training grid and fit models (the expensive setup).
+    """Train the cell's models through a tuner (the expensive setup).
 
-    ``space`` defaults to the platform-fitted configuration space (the
-    paper's Table I space for Emil); the training grids follow it, so a
-    context can be built for any registered platform with a device.
-    ``workload`` additionally accepts a registered workload name or
-    :class:`~repro.dna.workloads.WorkloadSpec`, in which case the space
-    is scenario-fitted and the training sizes rescale to the workload's
-    input scale.
+    The simulator, the space and the trained models are those of
+    ``WorkDistributionTuner(platform, workload, space, seed=seed)``:
+    ``space`` defaults to the cell's fitted configuration space (the
+    paper's Table I space for Emil), and a registered workload name or
+    :class:`~repro.dna.workloads.WorkloadSpec` rescales the training
+    sizes to its input scale.
     """
     platform.require_device(
         "experiment contexts need both training grids — use the campaign/tune paths"
     )
-    workload_spec, workload = resolve_workload(workload)
-    if space is None:
-        if workload_spec is not None:
-            space = workload_space(workload_spec, platform)
-        else:
-            space = platform_space(platform)
-    sim = PlatformSimulator(platform, workload, seed=seed)
-    sizes_mb = (
-        training_sizes_for(workload_spec)
-        if workload_spec is not None
-        else DEFAULT_TRAINING_SIZES_MB
-    )
-    data = generate_training_data(
-        sim,
-        sizes_mb=sizes_mb,
-        host_threads=space.host_threads,
-        host_affinities=space.host_affinities,
-        device_threads=space.device_threads,
-        device_affinities=space.device_affinities,
-    )
-    models = train_models(data, seed=seed)
-    return ExperimentContext(sim=sim, models=models, space=space, seed=seed)
+    tuner = WorkDistributionTuner(platform, workload, space, seed=seed)
+    return ExperimentContext(sim=tuner.sim, models=tuner.train(), space=tuner.space, seed=seed)
 
 
 @lru_cache(maxsize=2)

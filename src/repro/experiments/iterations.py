@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.methods import run_em, run_eml, run_sam, run_saml
+from ..core.methods import baseline_times, run_em, run_eml, run_sam, run_saml
 from ..dna.sequence import GENOME_ORDER
 from .context import ExperimentContext
 
@@ -205,8 +205,7 @@ def study_genome(
         saml_times[budget] = float(np.mean([r.measured_time for r in saml_runs]))
         sam_times[budget] = float(np.mean([r.measured_time for r in sam_runs]))
 
-    host_only = sim.measure_host(max(ctx.space.host_threads), "scatter", size_mb)
-    device_only = sim.measure_device(max(ctx.space.device_threads), "balanced", size_mb)
+    host_only, device_only = baseline_times(sim, ctx.space, size_mb)
     return GenomeStudy(
         genome=genome,
         size_mb=size_mb,

@@ -63,9 +63,10 @@ from ..machines.registry import (
     QUADPHI,
     SLOWLINK,
 )
+from ..core.training import evaluate_models
 from ..machines.simulator import PlatformSimulator
 from ..machines.spec import EMIL, PlatformSpec
-from .validation import EvalResult, half_split
+from .validation import half_split
 
 #: Canonical donor orders: the built-in registries, in registration
 #: order (platforms minus the accelerator-less ``manycore``, which has
@@ -390,7 +391,7 @@ def _grid_size(space, sizes, fractions) -> int:
 def _training_data(pspec, profile, space, sizes, fractions, seed, digest):
     """The cell's measured grid: store tier first, then the substrate."""
     from ..core.campaign import get_result_store
-    from ..core.training import generate_training_data
+    from ..core.training import space_training_data
 
     store = get_result_store()
     if store is not None:
@@ -398,15 +399,8 @@ def _training_data(pspec, profile, space, sizes, fractions, seed, digest):
         if hit is not None:
             _STATS.grid_store_hits += 1
             return hit
-    sim = PlatformSimulator(pspec, profile, seed=seed)
-    data = generate_training_data(
-        sim,
-        sizes_mb=sizes,
-        host_threads=space.host_threads,
-        host_affinities=space.host_affinities,
-        device_threads=space.device_threads,
-        device_affinities=space.device_affinities,
-        fractions=fractions,
+    data = space_training_data(
+        PlatformSimulator(pspec, profile, seed=seed), space, sizes, fractions
     )
     _STATS.grids_measured += 1
     if store is not None:
@@ -450,34 +444,6 @@ def _fit_warm(donor: CellModels, data, stages: int, seed: int):
     return out["host"], out["device"]
 
 
-def evaluate_models(models: CellModels, data, *, seed: int = 0) -> dict[str, EvalResult]:
-    """Held-out evaluation of a model pair on a grid's test halves.
-
-    Same protocol as :func:`~repro.core.training.train_models`: each
-    side's metrics come from the half the fit never saw, so ``seed`` must
-    be the cell seed the models were trained with.
-    """
-    from .metrics import mean_absolute_error, mean_percent_error
-
-    out: dict[str, EvalResult] = {}
-    for side, ds, model in (
-        ("host", data.host, models.host_model),
-        ("device", data.device, models.device_model),
-    ):
-        _train_idx, test_idx = half_split(len(ds), seed=seed)
-        pred = model.predict(ds.X[test_idx])
-        truth = ds.y[test_idx]
-        out[side] = EvalResult(
-            mean_absolute_error_s=mean_absolute_error(truth, pred),
-            mean_percent_error=mean_percent_error(truth, pred),
-            n_train=len(ds) - len(test_idx),
-            n_test=len(test_idx),
-            measured=truth,
-            predicted=pred,
-        )
-    return out
-
-
 def cell_models(
     platform,
     workload,
@@ -489,11 +455,12 @@ def cell_models(
 ) -> CellModels:
     """Trained per-side predictors for one cell, warm-started if asked.
 
-    With ``transfer=False`` this is exactly the cold training pipeline
-    of :class:`~repro.core.tuner.WorkDistributionTuner` (same grid, same
-    seed, same factory — bit-identical models), plus durable reuse:
-    measured grids and fitted models read through / persist to the bound
-    :class:`~repro.service.store.ResultStore` and a per-process registry.
+    With ``transfer=False`` this is the cold training pipeline — the
+    only code that trains a cell: :func:`~repro.core.tuner.WorkDistributionTuner.train`,
+    the experiment contexts and :func:`~repro.core.campaign.tune_platform`
+    all come here.  Measured grids and fitted models read through /
+    persist to the bound :class:`~repro.service.store.ResultStore` and a
+    per-process registry.
 
     With ``transfer=True`` the cell warm-starts from its
     :func:`transfer_donor`: the donor chain is materialized recursively
@@ -505,12 +472,8 @@ def cell_models(
     fan-out, traversal order, or what happens to be cached.
     """
     from ..core.campaign import get_result_store
-    from ..core.params import platform_space, workload_space
-    from ..core.training import (
-        DEFAULT_TRAINING_SIZES_MB,
-        TRAINING_FRACTIONS,
-        training_sizes_for,
-    )
+    from ..core.params import cell_space
+    from ..core.training import TRAINING_FRACTIONS, training_sizes_for
     from ..dna.workloads import resolve_workload
     from ..machines.registry import resolve_platform
 
@@ -521,11 +484,9 @@ def cell_models(
     )
     wspec, profile = resolve_workload(workload)
     if space is None:
-        space = platform_space(pspec) if wspec is None else workload_space(wspec, pspec)
+        space = cell_space(pspec, wspec)
 
-    full_sizes = (
-        training_sizes_for(wspec) if wspec is not None else DEFAULT_TRAINING_SIZES_MB
-    )
+    full_sizes = training_sizes_for(wspec)
     donor_cell = (
         transfer_donor(wspec, pspec) if (transfer and wspec is not None) else None
     )
@@ -603,16 +564,6 @@ def cell_models(
     return models
 
 
-def chain_experiments(ledger: TrainingLedger) -> int:
-    """The cell's own static training charge (not the donor chain's).
-
-    Each cell is charged for the grid *it* measures; donors charge their
-    own cells.  Exposed as a function to keep call sites explicit about
-    what enters a budget.
-    """
-    return ledger.grid_experiments
-
-
 # Convenience alias used in np-free type hints elsewhere.
 __all__ = [
     "BUILTIN_WORKLOADS",
@@ -633,5 +584,4 @@ __all__ = [
     "models_key_digest",
     "evaluate_models",
     "cell_models",
-    "chain_experiments",
 ]

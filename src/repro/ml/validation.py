@@ -61,23 +61,29 @@ class EvalResult:
     predicted: np.ndarray
 
 
-def train_and_evaluate(
-    make_model: Callable[[], Regressor], data: Dataset, *, seed: int = 0
-) -> EvalResult:
-    """Fit on a random half, evaluate Eqs. 5-6 on the other half."""
-    train_idx, test_idx = half_split(len(data), seed=seed)
-    model = make_model()
-    model.fit(data.X[train_idx], data.y[train_idx])
+def evaluate_held_out(model: Regressor, data: Dataset, *, seed: int = 0) -> EvalResult:
+    """Eqs. 5-6 of a fitted model on the held-out half of ``half_split(seed)``."""
+    _train_idx, test_idx = half_split(len(data), seed=seed)
     pred = model.predict(data.X[test_idx])
     truth = data.y[test_idx]
     return EvalResult(
         mean_absolute_error_s=mean_absolute_error(truth, pred),
         mean_percent_error=mean_percent_error(truth, pred),
-        n_train=len(train_idx),
+        n_train=len(data) - len(test_idx),
         n_test=len(test_idx),
         measured=truth,
         predicted=pred,
     )
+
+
+def train_and_evaluate(
+    make_model: Callable[[], Regressor], data: Dataset, *, seed: int = 0
+) -> EvalResult:
+    """Fit on a random half, evaluate Eqs. 5-6 on the other half."""
+    train_idx, _test_idx = half_split(len(data), seed=seed)
+    model = make_model()
+    model.fit(data.X[train_idx], data.y[train_idx])
+    return evaluate_held_out(model, data, seed=seed)
 
 
 def cross_validate(

@@ -17,9 +17,9 @@ SMALL_SPACE = ParameterSpace(
 @pytest.fixture(scope="module")
 def tuner():
     t = WorkDistributionTuner(space=SMALL_SPACE, seed=0)
-    # Reduced training grid keeps the test fast while exercising the
+    # The small space keeps the training grid fast while exercising the
     # full train -> tune pipeline.
-    t.train(sizes_mb=(1000.0, 3170.0))
+    t.train()
     return t
 
 

@@ -18,7 +18,7 @@ SPACE = ParameterSpace(
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     tuner = WorkDistributionTuner(space=SPACE, seed=0)
-    tuner.train(sizes_mb=(1000.0, 3170.0))
+    tuner.train()
     directory = tmp_path_factory.mktemp("models")
     tuner.save_models(directory)
     return tuner, directory
