@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..machines.simulator import PlatformSimulator
-from ..core.params import SystemConfiguration
-from .offload import resolve_simulator
+from repro.core.params import SystemConfiguration
+from repro.machines.simulator import PlatformSimulator
+from repro.runtime import resolve_simulator
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ class QilinPartitioner:
 
         ``sim`` accepts a registered platform name as well as a built
         simulator; each side's sweep goes through the simulator's
-        batched measurement path (the PR 4 columnar fast path) instead
+        batched measurement path (the columnar fast path) instead
         of one Python-level measurement per profiling size.
         """
         sim = resolve_simulator(sim)

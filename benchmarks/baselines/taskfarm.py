@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..machines.interconnect import offload_cost
-from ..machines.simulator import PlatformSimulator
+from repro.machines.interconnect import offload_cost
+from repro.machines.simulator import PlatformSimulator
 
 
 @dataclass(frozen=True)

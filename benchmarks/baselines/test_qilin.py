@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
+from baselines.qilin import LinearTimeModel, QilinPartitioner, fit_linear_time
 from repro.machines import PlatformSimulator
-from repro.runtime import (
-    LinearTimeModel,
-    QilinPartitioner,
-    fit_linear_time,
-    run_configuration,
-)
+from repro.runtime import run_configuration
 
 
 class TestLinearTimeModel:

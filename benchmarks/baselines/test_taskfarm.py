@@ -2,8 +2,8 @@
 
 import pytest
 
+from baselines.taskfarm import TaskFarmScheduler
 from repro.machines import PlatformSimulator
-from repro.runtime import TaskFarmScheduler
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,7 @@ import numpy as np
 from conftest import run_once
 
 from repro.core import SimulatedAnnealing, run_em
-from repro.core.evaluators import MeasurementEvaluator, make_objective
+from repro.core.evaluators import EvaluatorObjective, MeasurementEvaluator
 from repro.experiments import render_table
 from repro.search import (
     AntColony,
@@ -45,7 +45,7 @@ def test_metaheuristic_comparison(benchmark, ctx):
             sa_times.append(measured_quality(run.best_config))
         rows.append(("SimulatedAnnealing", float(np.mean(sa_times))))
 
-        objective = make_objective(ml, size)
+        objective = EvaluatorObjective(ml, size)
         for cls in (TabuSearch, GeneticAlgorithm, HillClimbing, AntColony, RandomSearch):
             times = []
             for s in SEEDS:

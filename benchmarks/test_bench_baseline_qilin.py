@@ -7,12 +7,13 @@ once and then tunes the full configuration for free.  This bench
 quantifies the trade-off the paper's related-work section argues.
 """
 
+from baselines.qilin import QilinPartitioner
 from conftest import run_once
 
 from repro.core import run_em, run_saml
 from repro.experiments import render_table
 from repro.machines import PlatformSimulator
-from repro.runtime import QilinPartitioner, run_configuration
+from repro.runtime import run_configuration
 
 
 def test_saml_vs_qilin(benchmark, ctx):

@@ -6,12 +6,12 @@ bench sweeps the task granularity (the scheme's one knob) and compares
 its best makespan against the EM optimum and SAML's suggestion.
 """
 
+from baselines.taskfarm import TaskFarmScheduler
 from conftest import run_once
 
 from repro.core import run_em, run_saml
 from repro.experiments import render_table
 from repro.machines import PlatformSimulator
-from repro.runtime import TaskFarmScheduler
 
 TASK_COUNTS = (2, 4, 8, 16, 32, 64, 128, 256, 512)
 

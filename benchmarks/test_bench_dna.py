@@ -51,18 +51,6 @@ def test_parem_scan_throughput(benchmark, expected_large):
     assert result.total == expected_large.total
 
 
-def test_minimized_regex_dfa_scan(benchmark):
-    """Hopcroft-minimized regex DFA: same counts, fewer states."""
-    from repro.dna import compile_regex
-    from repro.dna.minimize import minimize_dfa
-
-    cre = compile_regex("TATAWAW|CANNTG|(CA)+CACACA")
-    small = minimize_dfa(cre.dfa)
-    assert small.n_states <= cre.dfa.n_states
-    result = benchmark(lambda: scan_sequential(small, SMALL))
-    assert result.total == scan_sequential(cre.dfa, SMALL).total
-
-
 def test_windowed_beats_scalar_by_an_order_of_magnitude(expected_small):
     import time
 

@@ -23,12 +23,12 @@ from conftest import run_once
 from repro.core import (
     BatchedEngine,
     CachedEngine,
+    EvaluatorObjective,
     MeasurementEvaluator,
     SerialEngine,
     enumerate_best,
     enumerate_best_separable,
     generate_training_data,
-    make_objective,
 )
 from repro.core.params import DEFAULT_SPACE
 from repro.experiments import render_table
@@ -54,7 +54,7 @@ def test_engine_throughput(benchmark, ctx):
     def one_engine(engine):
         # Fresh evaluator per engine: the MLEvaluator's own side cache
         # must not leak work between timings.
-        objective = make_objective(models.evaluator(), size)
+        objective = EvaluatorObjective(models.evaluator(), size)
         t0 = time.perf_counter()
         values = engine.evaluate_batch(objective, configs)
         return time.perf_counter() - t0, values
@@ -63,7 +63,7 @@ def test_engine_throughput(benchmark, ctx):
         t_serial, v_serial = one_engine(SerialEngine())
         t_batched, v_batched = one_engine(BatchedEngine(BATCH_SIZE))
         # Cached engine on a revisit-heavy stream: the same configs twice.
-        objective = make_objective(models.evaluator(), size)
+        objective = EvaluatorObjective(models.evaluator(), size)
         cached = CachedEngine(BatchedEngine(BATCH_SIZE))
         cached.evaluate_batch(objective, configs)  # warm
         t0 = time.perf_counter()

@@ -70,6 +70,8 @@ from .dna.sequence import GENOME_ORDER
 from .dna.workloads import DEFAULT_WORKLOAD_KEY, get_workload
 from .experiments import (
     CHECKPOINTS,
+    check_n_seeds,
+    experiments_saved_fraction,
     fig5_curves,
     fig6_curves,
     fig7_histogram,
@@ -788,9 +790,12 @@ def _run_submit(args, workload, platform) -> int:
 def _run_studies(want, args, platform, workload, engine) -> int:
     """The paper's figures and tables (``all`` prints every one)."""
     needs_ctx = want not in ("table1", "table2", "table3")
+    needs_study = want in ("fig9", "table6", "table7", "table8", "table9", "summary", "all")
     ctx = None
     if needs_ctx:
         try:
+            if needs_study:
+                check_n_seeds(args.seeds)
             ctx = platform_context(
                 args.platform or "emil",
                 args.seed,
@@ -826,7 +831,7 @@ def _run_studies(want, args, platform, workload, engine) -> int:
         _print_accuracy_table(table4(ctx), "Table IV: host prediction accuracy")
     if want in ("table5", "all"):
         _print_accuracy_table(table5(ctx), "Table V: device prediction accuracy")
-    if want in ("fig9", "table6", "table7", "table8", "table9", "summary", "all"):
+    if needs_study:
         study = run_iteration_study(ctx, n_seeds=args.seeds, engine=engine)
         hdr = ["DNA", *[str(c) for c in CHECKPOINTS]]
         if want in ("fig9", "all"):
@@ -870,7 +875,7 @@ def _run_studies(want, args, platform, workload, engine) -> int:
             budget = 1000
             print("Headline results (mouse genome, 1000 SA iterations):")
             print(f"  experiments explored by SAML : {budget} "
-                  f"({100.0 * budget / ctx.space.size():.1f}% of the "
+                  f"({100.0 * experiments_saved_fraction(ctx, budget):.1f}% of the "
                   f"{ctx.space.size()} EM experiments)")
             print(f"  speedup vs host-only        : {g.speedup_vs_host(budget):.2f}x "
                   f"(paper: 1.74x)")

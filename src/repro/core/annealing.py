@@ -45,8 +45,7 @@ def cooling_rate_for(
 
 @dataclass(frozen=True)
 class AnnealingStep:
-    """One iteration of the annealing loop (for convergence plots and the
-    stopped-at-k-iterations analyses of Tables VI-IX)."""
+    """One iteration of the annealing loop (for convergence plots)."""
 
     iteration: int
     temperature: float
@@ -65,26 +64,6 @@ class AnnealingResult:
     best_energy: Energy
     iterations: int
     history: list[AnnealingStep] = field(repr=False, default_factory=list)
-
-    def _step_at(self, iteration: int) -> AnnealingStep:
-        if not self.history:
-            raise ValueError("run has no recorded history")
-        if iteration < 1:
-            raise ValueError(f"iteration must be >= 1, got {iteration}")
-        return self.history[min(iteration, len(self.history)) - 1]
-
-    def best_energy_at(self, iteration: int) -> float:
-        """Best objective value seen within the first ``iteration`` steps.
-
-        This is what Tables VI-IX sample at 250, 500, ..., 2000
-        iterations: the quality of the configuration the method would
-        have suggested had it been stopped there.
-        """
-        return self._step_at(iteration).best_energy
-
-    def best_config_at(self, iteration: int) -> SystemConfiguration:
-        """Configuration the method would suggest if stopped at ``iteration``."""
-        return self._step_at(iteration).best_config
 
 
 class SimulatedAnnealing:

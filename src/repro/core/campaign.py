@@ -262,11 +262,6 @@ class PlatformTuneReport:
         return self.experiments + self.training_experiments
 
     @property
-    def speedup_vs_em_budget(self) -> float:
-        """Experiment-budget saving: EM experiments per method experiment."""
-        return self.space_size / max(1, self.experiments)
-
-    @property
     def budget_fraction(self) -> float:
         """Method experiments as a fraction of the enumeration budget."""
         return self.experiments / self.space_size
@@ -503,15 +498,6 @@ class MatrixResult:
         if not cells:
             known = ", ".join(self.workloads)
             raise KeyError(f"no matrix row for workload {workload!r}; have: {known}")
-        return cells
-
-    def column(self, platform: str) -> tuple[ScenarioReport, ...]:
-        """All cells of one platform, in workload order."""
-        p = platform.strip().lower()
-        cells = tuple(r for r in self.reports if r.platform.lower() == p)
-        if not cells:
-            known = ", ".join(self.platforms)
-            raise KeyError(f"no matrix column for platform {platform!r}; have: {known}")
         return cells
 
     def best_platform_for(self, workload: str) -> ScenarioReport:

@@ -361,12 +361,3 @@ class EvaluatorObjective(EnergyObjective):
 
     def evaluate_batch(self, configs: Sequence[SystemConfiguration]) -> list[float]:
         return [e.value for e in self._energies(configs)]
-
-
-def make_objective(evaluator, size_mb: float) -> EvaluatorObjective:
-    """Adapt an evaluator to the plain ``config -> float`` objective used
-    by the baseline metaheuristics in :mod:`repro.search`.
-
-    The returned objective also exposes ``evaluate_batch`` so evaluation
-    engines can score whole candidate batches at once."""
-    return EvaluatorObjective(evaluator, size_mb)

@@ -453,51 +453,6 @@ class ConfigTable:
             ],
         )
 
-    @classmethod
-    def from_space(cls, space: "ParameterSpace") -> "ConfigTable":
-        """The whole space as columns, in Table I enumeration order.
-
-        Matches :meth:`ParameterSpace.iter_configs` row for row without
-        constructing a single :class:`SystemConfiguration`.
-        """
-        h_codes = [HOST_AFFINITIES.index(a) for a in space.host_affinities]
-        d_codes = [DEVICE_AFFINITIES.index(a) for a in space.device_affinities]
-        if space.num_devices == 1:
-            grids = np.meshgrid(
-                np.asarray(space.host_threads, dtype=np.int64),
-                np.asarray(h_codes, dtype=np.int64),
-                np.asarray(space.device_threads, dtype=np.int64),
-                np.asarray(d_codes, dtype=np.int64),
-                np.asarray(space.fractions, dtype=np.float64),
-                indexing="ij",
-            )
-            return cls(*(g.ravel() for g in grids))
-        axes: list[np.ndarray] = [
-            np.asarray(space.host_threads, dtype=np.int64),
-            np.asarray(h_codes, dtype=np.int64),
-        ]
-        for threads, affinities in space.device_grids:
-            axes.append(np.asarray(threads, dtype=np.int64))
-            axes.append(
-                np.asarray([DEVICE_AFFINITIES.index(a) for a in affinities], dtype=np.int64)
-            )
-        shares = np.asarray(space.share_vectors, dtype=np.float64)
-        axes.append(np.arange(len(shares), dtype=np.int64))
-        grids = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
-        share_idx = grids[-1]
-        return cls(
-            grids[0],
-            grids[1],
-            grids[2],
-            grids[3],
-            shares[share_idx, 0],
-            extra_threads=[grids[4 + 2 * k] for k in range(space.num_devices - 1)],
-            extra_codes=[grids[5 + 2 * k] for k in range(space.num_devices - 1)],
-            extra_shares=[
-                shares[share_idx, 2 + k] for k in range(space.num_devices - 1)
-            ],
-        )
-
     def __len__(self) -> int:
         return len(self.host_threads)
 

@@ -8,18 +8,13 @@ paper describes.  See ``examples/quickstart.py`` for typical use.
 Training goes through :func:`repro.ml.transfer.cell_models`, the one
 cell training pipeline, so a tuner shares fitted models with
 :func:`~repro.core.campaign.tune_platform` through the process model
-registry and the bound result store.
-
-Trained predictors can be persisted (:meth:`WorkDistributionTuner.save_models`
-/ :meth:`load_models`) so the 7200-experiment training cost is paid once
-per platform, matching the paper's "once the model is trained" workflow.
+registry and the bound result store: a cell's models are fitted once
+per process, and once across processes when a store is bound.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from ..machines.perfmodel import DNA_SCAN, WorkloadProfile
 from ..machines.registry import get_platform
@@ -30,19 +25,6 @@ from .methods import MethodResult, baseline_times, check_size_mb, run_method
 from .options import TuningOptions
 from .params import ParameterSpace, SystemConfiguration, cell_space
 from .training import TrainedModels, space_training_data, training_sizes_for
-
-
-@dataclass
-class _LoadedModels:
-    """Predictors restored from disk: prediction-only TrainedModels stand-in."""
-
-    host_model: object
-    device_model: object
-
-    def evaluator(self):
-        from .evaluators import MLEvaluator
-
-        return MLEvaluator(self.host_model, self.device_model)
 
 
 @dataclass(frozen=True)
@@ -146,52 +128,6 @@ class WorkDistributionTuner:
             self.train()
         assert self._models is not None
         return self._models
-
-    # -- persistence -------------------------------------------------------
-
-    def save_models(self, directory: str | Path) -> None:
-        """Persist the trained per-side predictors to ``directory``.
-
-        Writes ``host_model.npz``, ``device_model.npz`` and a metadata
-        JSON recording the platform/workload identity so a mismatched
-        load is caught early.
-        """
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        from ..ml.io import save_model
-
-        models = self.models
-        save_model(directory / "host_model.npz", models.host_model)
-        save_model(directory / "device_model.npz", models.device_model)
-        meta = {
-            "platform": self.platform.name,
-            "workload": self.workload.name,
-            "seed": self.seed,
-            "host_percent_error": models.host_eval.mean_percent_error,
-            "device_percent_error": models.device_eval.mean_percent_error,
-        }
-        (directory / "tuner_meta.json").write_text(json.dumps(meta, indent=2))
-
-    def load_models(self, directory: str | Path) -> None:
-        """Load predictors saved by :meth:`save_models`.
-
-        After loading, SAML/EML tuning works without retraining.  The
-        held-out evaluation records and raw training data are not
-        persisted; only prediction is available from a loaded tuner.
-        """
-        directory = Path(directory)
-        from ..ml.io import load_model
-
-        meta = json.loads((directory / "tuner_meta.json").read_text())
-        if meta["platform"] != self.platform.name or meta["workload"] != self.workload.name:
-            raise ValueError(
-                f"saved models are for platform {meta['platform']!r} / workload "
-                f"{meta['workload']!r}, tuner targets {self.platform.name!r} / "
-                f"{self.workload.name!r}"
-            )
-        host_model = load_model(directory / "host_model.npz")
-        device_model = load_model(directory / "device_model.npz")
-        self._models = _LoadedModels(host_model, device_model)  # type: ignore[assignment]
 
     # -- tuning ------------------------------------------------------------
 

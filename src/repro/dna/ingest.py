@@ -547,24 +547,6 @@ def register_ingest(report: IngestReport) -> tuple[str, str]:
     return report.positive_key, report.background_key
 
 
-def background_sample(
-    path: str | Path, *, shuffle_seed: int = 0
-) -> tuple[tuple[str, np.ndarray], ...]:
-    """The shuffled background records of a FASTA file, with headers.
-
-    Convenience for writing a background FASTA next to the positive
-    one; uses the same per-record seeding as :func:`ingest_fasta`, so
-    the emitted records are exactly the ones the background spec
-    measured.
-    """
-    records = read_fasta_records(path)
-    shuffled = shuffled_records(tuple(c for _, c in records), seed=shuffle_seed)
-    return tuple(
-        (f"{header} [dinucleotide-shuffled seed={shuffle_seed}]", codes)
-        for (header, _), codes in zip(records, shuffled)
-    )
-
-
 __all__ = [
     "BUNDLED_FASTA",
     "DEFAULT_SCAN_PATTERNS",
@@ -573,7 +555,6 @@ __all__ = [
     "SHUFFLED_VARIANT",
     "IngestReport",
     "SequenceStats",
-    "background_sample",
     "derived_key",
     "dinucleotide_counts",
     "dinucleotide_shuffle",

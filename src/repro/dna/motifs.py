@@ -43,16 +43,6 @@ class MotifSet:
     def __getitem__(self, i: int) -> str:
         return self.patterns[i]
 
-    @property
-    def total_length(self) -> int:
-        """Sum of pattern lengths; upper-bounds the automaton state count."""
-        return sum(len(p) for p in self.patterns)
-
-    @property
-    def max_length(self) -> int:
-        """Longest pattern length (window size of the vectorized matcher)."""
-        return max((len(p) for p in self.patterns), default=0)
-
     def union(self, other: "MotifSet", name: str | None = None) -> "MotifSet":
         """Combine two motif sets, dropping duplicates, preserving order."""
         seen = set(self.patterns)

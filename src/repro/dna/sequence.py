@@ -10,13 +10,12 @@ operates on MB-scale real buffers (DESIGN.md section 2).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .alphabet import BASES, decode, encode
+from .alphabet import BASES, encode
 
 
 @dataclass(frozen=True)
@@ -81,45 +80,6 @@ def genome_sample(spec: GenomeSpec, n_bases: int = 1_000_000) -> np.ndarray:
     return generate_sequence(n_bases, gc=spec.gc_content, seed=spec.seed)
 
 
-def write_fasta(path: str | Path, codes: np.ndarray, *, header: str = "synthetic",
-                width: int = 70) -> None:
-    """Write a code array as a single-record FASTA file."""
-    if width <= 0:
-        raise ValueError(f"width must be positive, got {width}")
-    text = decode(codes)
-    with open(path, "w") as fh:
-        fh.write(f">{header}\n")
-        for i in range(0, len(text), width):
-            fh.write(text[i : i + width])
-            fh.write("\n")
-
-
-def read_fasta(path: str | Path) -> tuple[str, np.ndarray]:
-    """Read the first record of a FASTA file -> (header, code array).
-
-    Multi-line records are concatenated; subsequent records are ignored
-    (GenBank chromosome dumps are one record per file).
-    """
-    header = ""
-    chunks: list[bytes] = []
-    with open(path, "rb") as fh:
-        first = True
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith(b">"):
-                if not first:
-                    break  # only the first record
-                header = line[1:].decode("ascii", errors="replace")
-                first = False
-                continue
-            chunks.append(line)
-    if first:
-        raise ValueError(f"{path}: not a FASTA file (no '>' header)")
-    return header, encode(b"".join(chunks))
-
-
 def _parse_fasta_records(lines) -> list[tuple[str, np.ndarray]]:
     """Shared multi-record FASTA parser over an iterable of byte lines."""
     records: list[tuple[str, list[bytes]]] = []
@@ -142,10 +102,8 @@ def _parse_fasta_records(lines) -> list[tuple[str, np.ndarray]]:
 def read_fasta_records(path: str | Path) -> tuple[tuple[str, np.ndarray], ...]:
     """Read *every* record of a FASTA file -> ((header, codes), ...).
 
-    The multi-record companion of :func:`read_fasta` — ingestion
-    (:mod:`repro.dna.ingest`) measures workload statistics over all
-    records (a positive set is typically many short sequences), while
-    the single-record reader serves GenBank chromosome dumps.
+    Ingestion (:mod:`repro.dna.ingest`) measures workload statistics
+    over all records (a positive set is typically many short sequences).
     """
     with open(path, "rb") as fh:
         return tuple(_parse_fasta_records(fh))
@@ -154,28 +112,6 @@ def read_fasta_records(path: str | Path) -> tuple[tuple[str, np.ndarray], ...]:
 def read_fasta_records_string(text: str) -> tuple[tuple[str, np.ndarray], ...]:
     """Parse every FASTA record from a string (tests and examples)."""
     return tuple(_parse_fasta_records(line.encode("ascii") for line in text.splitlines()))
-
-
-def read_fasta_string(text: str) -> tuple[str, np.ndarray]:
-    """Parse FASTA from a string (convenience for tests and examples)."""
-    buf = io.StringIO(text)
-    header = ""
-    chunks: list[str] = []
-    first = True
-    for line in buf:
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith(">"):
-            if not first:
-                break
-            header = line[1:]
-            first = False
-            continue
-        chunks.append(line)
-    if first:
-        raise ValueError("not a FASTA string (no '>' header)")
-    return header, encode("".join(chunks))
 
 
 def fraction_bases(total_bases: int, percent: float) -> int:
@@ -201,9 +137,6 @@ __all__ = [
     "fraction_bases",
     "generate_sequence",
     "genome_sample",
-    "read_fasta",
     "read_fasta_records",
     "read_fasta_records_string",
-    "read_fasta_string",
-    "write_fasta",
 ]

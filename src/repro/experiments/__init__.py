@@ -5,7 +5,7 @@ bench target).  Everything builds on :mod:`repro.experiments.context`,
 which owns the one-off training-grid run.
 """
 
-from .ascii_plot import gantt, line_plot
+from .ascii_plot import line_plot
 from .context import ExperimentContext, build_context, default_context, platform_context
 from .fig2 import (
     RATIO_GRID,
@@ -21,6 +21,7 @@ from .iterations import (
     CHECKPOINTS,
     GenomeStudy,
     IterationStudy,
+    check_n_seeds,
     experiments_saved_fraction,
     run_iteration_study,
     study_genome,
@@ -40,7 +41,6 @@ from .prediction import (
 from .report import render_histogram, render_series, render_table
 
 __all__ = [
-    "gantt",
     "line_plot",
     "ExperimentContext",
     "build_context",
@@ -57,6 +57,7 @@ __all__ = [
     "CHECKPOINTS",
     "GenomeStudy",
     "IterationStudy",
+    "check_n_seeds",
     "experiments_saved_fraction",
     "run_iteration_study",
     "study_genome",

@@ -72,39 +72,3 @@ def line_plot(
     )
     lines.append(" " * (label_w + 1) + legend + (f"   [y: {y_label}]" if y_label else ""))
     return "\n".join(lines)
-
-
-def gantt(
-    records: Sequence,
-    *,
-    width: int = 72,
-    title: str | None = None,
-) -> str:
-    """Two-lane Gantt chart of :class:`~repro.runtime.taskfarm.TaskRecord`s.
-
-    Each lane shows its worker's busy intervals as digit runs (the digit
-    is the task id mod 10); gaps are idle time.
-    """
-    records = list(records)
-    if not records:
-        raise ValueError("empty timeline")
-    t_end = max(r.end_s for r in records)
-    if t_end <= 0:
-        raise ValueError("degenerate timeline")
-    workers = sorted({r.worker for r in records})
-    lines: list[str] = []
-    if title:
-        lines.append(title)
-    for worker in workers:
-        lane = [" "] * width
-        for r in records:
-            if r.worker != worker:
-                continue
-            c0 = int(r.start_s / t_end * (width - 1))
-            c1 = max(c0 + 1, int(r.end_s / t_end * (width - 1)) + 1)
-            digit = str(r.task % 10)
-            for c in range(c0, min(c1, width)):
-                lane[c] = digit
-        lines.append(f"{worker:>7s} |{''.join(lane)}|")
-    lines.append(" " * 8 + f"0{'time [s]':^{max(0, width - 10)}}{t_end:>8.3f}")
-    return "\n".join(lines)

@@ -143,6 +143,13 @@ class IterationStudy:
         }
 
 
+def check_n_seeds(n_seeds: int) -> None:
+    """Reject a seed count that averages no annealing run (``< 1``);
+    :func:`study_genome` calls this before any chain runs."""
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+
+
 def study_genome(
     ctx: ExperimentContext,
     genome: str,
@@ -159,6 +166,7 @@ def study_genome(
     """
     from ..core.params import ParameterSpace
 
+    check_n_seeds(n_seeds)
     size_mb = ctx.genome_sizes_mb[genome]
     sim = ctx.sim
     ml = ctx.ml()

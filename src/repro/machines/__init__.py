@@ -20,7 +20,6 @@ from .perfmodel import (
     DevicePerformanceModel,
     HostPerformanceModel,
     WorkloadProfile,
-    predict_times_batch,
 )
 from .registry import (
     DEFAULT_PLATFORM_KEY,
@@ -54,9 +53,7 @@ from .topology import (
     PlacementStats,
     Slot,
     device_slots,
-    host_slots,
     placement_stats,
-    validate_placement,
 )
 
 __all__ = [
@@ -67,7 +64,6 @@ __all__ = [
     "host_placement_stats",
     "place_device_threads",
     "place_host_threads",
-    "predict_times_batch",
     "OffloadCost",
     "offload_cost",
     "transfer_time_s",
@@ -103,7 +99,5 @@ __all__ = [
     "PlacementStats",
     "Slot",
     "device_slots",
-    "host_slots",
     "placement_stats",
-    "validate_placement",
 ]

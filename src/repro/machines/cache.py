@@ -87,31 +87,6 @@ def working_set_kb(n_states: int, alphabet_size: int, bytes_per_entry: int = 4) 
     return n_states * alphabet_size * bytes_per_entry / 1024.0
 
 
-def effective_simd_lanes(simd_bits: int, element_bits: int = 8) -> int:
-    """How many elements one SIMD register processes (e.g. 64 on the Phi)."""
-    if element_bits <= 0 or simd_bits <= 0:
-        raise ValueError("bit widths must be positive")
-    return max(1, simd_bits // element_bits)
-
-
-def amdahl_speedup(parallel_fraction: float, n: float) -> float:
-    """Classic Amdahl speedup; used by tests as a sanity bound."""
-    if not 0.0 <= parallel_fraction <= 1.0:
-        raise ValueError("parallel_fraction must be in [0, 1]")
-    if n <= 0:
-        raise ValueError("n must be positive")
-    return 1.0 / ((1.0 - parallel_fraction) + parallel_fraction / n)
-
-
-def gustafson_speedup(parallel_fraction: float, n: float) -> float:
-    """Gustafson scaled speedup; companion bound for weak scaling tests."""
-    if not 0.0 <= parallel_fraction <= 1.0:
-        raise ValueError("parallel_fraction must be in [0, 1]")
-    if n <= 0:
-        raise ValueError("n must be positive")
-    return (1.0 - parallel_fraction) + parallel_fraction * n
-
-
 def log2_threads(n: int) -> float:
     """Convenience: log2 used in thread-spawn overhead modelling."""
     if n <= 0:

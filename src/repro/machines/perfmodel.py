@@ -419,19 +419,3 @@ class DevicePerformanceModel(_SidePerformanceModel):
         exposed = exposed + result_wire
         total = (link.latency_s + exposed) + (spawns + mb_arr / rates)
         return np.where(mb_arr == 0.0, 0.0, total)
-
-
-def predict_times_batch(model, threads, affinities, mb) -> np.ndarray:
-    """Array-native execution times for one side of a platform.
-
-    ``model`` is a :class:`HostPerformanceModel` or
-    :class:`DevicePerformanceModel`; ``threads``/``affinities``/``mb``
-    are equal-length configuration columns (affinities as names or as
-    integer codes in feature-encoding order).  This is the front door of
-    the vectorized analytic core: spawn costs and harmonic rate
-    composition run over NumPy arrays, with per-(threads, affinity)
-    placement and rate lookups amortized through the model's key table.
-    Every element is bit-identical to the corresponding scalar
-    ``model.time(...)`` call.
-    """
-    return model.times_batch(threads, affinities, mb)

@@ -247,11 +247,6 @@ class PlatformSimulator:
             )
         return out
 
-    def reset_counter(self) -> None:
-        """Zero the experiment counter and log (new optimization run)."""
-        self._experiments = 0
-        self._blocks.clear()
-
     # -- noise -----------------------------------------------------------
 
     def _perf(self, side: str, device: int):

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .spec import CPUSpec, PhiSpec, PlatformSpec
+from .spec import PhiSpec
 
 
 @dataclass(frozen=True, order=True)
@@ -25,17 +25,6 @@ class Slot:
     socket: int
     core: int
     hwthread: int
-
-
-def host_slots(platform: PlatformSpec) -> list[Slot]:
-    """Enumerate all host hardware threads in (socket, core, hwthread) order."""
-    cpu = platform.cpu
-    return [
-        Slot(s, c, t)
-        for s in range(platform.sockets)
-        for c in range(cpu.cores)
-        for t in range(cpu.threads_per_core)
-    ]
 
 
 def device_slots(device: PhiSpec) -> list[Slot]:
@@ -69,18 +58,6 @@ class PlacementStats:
     sockets_used: int
     threads_per_core: tuple[tuple[int, int], ...]
 
-    @property
-    def occupancy_histogram(self) -> dict[int, int]:
-        """``threads_per_core`` as a plain dict."""
-        return dict(self.threads_per_core)
-
-    @property
-    def max_occupancy(self) -> int:
-        """Largest number of threads sharing one core."""
-        if not self.threads_per_core:
-            return 0
-        return max(k for k, _ in self.threads_per_core)
-
 
 def placement_stats(slots: Sequence[Slot]) -> PlacementStats:
     """Compute :class:`PlacementStats` for a concrete placement."""
@@ -108,31 +85,3 @@ def sockets_used_column(stats: Sequence[PlacementStats]):
     import numpy as np
 
     return np.array([s.sockets_used for s in stats], dtype=np.int64)
-
-
-def validate_placement(
-    slots: Iterable[Slot], *, cpu: CPUSpec | None = None, device: PhiSpec | None = None
-) -> None:
-    """Check a placement is physically realizable (no slot reuse, in range).
-
-    Exactly one of ``cpu`` (with implicit 2+ sockets allowed) or ``device``
-    must be given.  Raises :class:`ValueError` on any violation.
-    """
-    if (cpu is None) == (device is None):
-        raise ValueError("pass exactly one of cpu= or device=")
-    seen: set[Slot] = set()
-    for slot in slots:
-        if slot in seen:
-            raise ValueError(f"slot {slot} assigned twice")
-        seen.add(slot)
-        if cpu is not None:
-            if not (0 <= slot.core < cpu.cores):
-                raise ValueError(f"core {slot.core} out of range for {cpu.name}")
-            if not (0 <= slot.hwthread < cpu.threads_per_core):
-                raise ValueError(f"hwthread {slot.hwthread} out of range")
-        else:
-            assert device is not None
-            if not (0 <= slot.core < device.usable_cores):
-                raise ValueError(f"core {slot.core} out of range for {device.name}")
-            if not (0 <= slot.hwthread < device.threads_per_core):
-                raise ValueError(f"hwthread {slot.hwthread} out of range")

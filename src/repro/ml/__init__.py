@@ -10,7 +10,6 @@ from .dataset import (
     HOST_FEATURE_NAMES,
     Dataset,
     Standardizer,
-    build_dataset,
     encode_device_row,
     encode_host_row,
 )
@@ -24,19 +23,11 @@ from .metrics import (
     error_histogram,
     mean_absolute_error,
     mean_percent_error,
-    mean_squared_error,
     percent_error,
-    r2_score,
 )
 from .poisson import PoissonRegressor
 from .tree import RegressionTree
-from .validation import (
-    EvalResult,
-    cross_validate,
-    half_split,
-    kfold_indices,
-    train_and_evaluate,
-)
+from .validation import EvalResult, half_split
 
 __all__ = [
     "BoostedDecisionTreeRegressor",
@@ -44,7 +35,6 @@ __all__ = [
     "HOST_FEATURE_NAMES",
     "Dataset",
     "Standardizer",
-    "build_dataset",
     "encode_device_row",
     "encode_host_row",
     "LinearRegression",
@@ -57,14 +47,9 @@ __all__ = [
     "error_histogram",
     "mean_absolute_error",
     "mean_percent_error",
-    "mean_squared_error",
     "percent_error",
-    "r2_score",
     "PoissonRegressor",
     "RegressionTree",
     "EvalResult",
-    "cross_validate",
     "half_split",
-    "kfold_indices",
-    "train_and_evaluate",
 ]

@@ -75,9 +75,6 @@ class Standardizer:
             raise RuntimeError("Standardizer.transform called before fit")
         return (np.asarray(X, dtype=np.float64) - self.mean_) / self.scale_
 
-    def fit_transform(self, X: np.ndarray) -> np.ndarray:
-        return self.fit(X).transform(X)
-
 
 def _one_hot(value: str, levels: tuple[str, ...]) -> list[float]:
     if value not in levels:
@@ -124,8 +121,3 @@ def encode_side_columns(
     X[np.arange(n), 1 + np.asarray(codes, dtype=np.int64)] = 1.0
     X[:, -1] = mb
     return X
-
-
-def build_dataset(rows: list[list[float]], y: list[float], names: tuple[str, ...]) -> Dataset:
-    """Assemble a :class:`Dataset` from encoded rows."""
-    return Dataset(np.array(rows, dtype=np.float64), np.array(y, dtype=np.float64), names)

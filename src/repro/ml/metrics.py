@@ -54,23 +54,6 @@ def mean_percent_error(measured: np.ndarray, predicted: np.ndarray) -> float:
     return float(percent_error(measured, predicted).mean())
 
 
-def mean_squared_error(measured: np.ndarray, predicted: np.ndarray) -> float:
-    """MSE, used for model selection in the ablation bench."""
-    d = np.asarray(measured, dtype=np.float64) - np.asarray(predicted, dtype=np.float64)
-    return float(np.mean(d * d))
-
-
-def r2_score(measured: np.ndarray, predicted: np.ndarray) -> float:
-    """Coefficient of determination; 1.0 is perfect, 0.0 is the mean model."""
-    measured = np.asarray(measured, dtype=np.float64)
-    predicted = np.asarray(predicted, dtype=np.float64)
-    ss_res = float(np.sum((measured - predicted) ** 2))
-    ss_tot = float(np.sum((measured - measured.mean()) ** 2))
-    if ss_tot == 0.0:
-        return 1.0 if ss_res == 0.0 else 0.0
-    return 1.0 - ss_res / ss_tot
-
-
 @dataclass(frozen=True)
 class ErrorHistogram:
     """Counts of predictions per absolute-error bin (Figs. 7-8).

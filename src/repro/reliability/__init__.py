@@ -41,7 +41,6 @@ from .retry import (
     DegradationEvent,
     RetryPolicy,
     RetryStats,
-    call_with_retry,
     reliability_stats,
     reset_reliability_stats,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "DegradationEvent",
     "RetryPolicy",
     "RetryStats",
-    "call_with_retry",
     "reliability_stats",
     "reset_reliability_stats",
 ]

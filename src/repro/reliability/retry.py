@@ -22,7 +22,6 @@ plumbing a stats object through every call chain.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from ..machines.simulator import _GOLDEN, _MASK64, _mix64
@@ -157,39 +156,3 @@ def reset_reliability_stats() -> None:
     """Zero the process-wide ledger (tests, server lifetimes)."""
     global _GLOBAL_STATS
     _GLOBAL_STATS = RetryStats()
-
-
-def call_with_retry(
-    fn,
-    *,
-    policy: RetryPolicy = DEFAULT_RETRY_POLICY,
-    retry_on: tuple[type[BaseException], ...] = (Exception,),
-    key: int = 0,
-    stats: RetryStats | None = None,
-    sleep=time.sleep,
-):
-    """Run ``fn()`` under a policy; re-raise the last error when spent.
-
-    The synchronous building block for store writes and client
-    connects.  ``retry_on`` bounds what is considered transient;
-    anything else propagates immediately.  ``stats`` (when given)
-    receives attempt/retry counts.
-    """
-    last: BaseException | None = None
-    for attempt in range(policy.max_attempts):
-        if stats is not None:
-            stats.attempts += 1
-        try:
-            return fn()
-        except retry_on as exc:
-            last = exc
-            if stats is not None:
-                stats.crashes += 1
-            if attempt + 1 >= policy.max_attempts:
-                raise
-            if stats is not None:
-                stats.retries += 1
-            delay = policy.backoff(attempt, key)
-            if delay > 0:
-                sleep(delay)
-    raise last  # pragma: no cover - loop always returns or raises

@@ -57,21 +57,6 @@ def proportional_shares(
     )
 
 
-@dataclass(frozen=True)
-class StaticSchedule:
-    """A fixed configuration applied to every run of a workload."""
-
-    config: "SystemConfiguration"
-
-    def execute(self, sim: "PlatformSimulator | str", size_mb: float) -> ExecutionOutcome:
-        """Run the workload once under this schedule.
-
-        ``sim`` accepts a registered platform name as well as a built
-        simulator (resolved through the registry path).
-        """
-        return run_configuration(sim, self.config, size_mb)
-
-
 @dataclass
 class RebalanceStep:
     """One adaptive round: the fraction tried and what it produced."""

@@ -43,14 +43,6 @@ class SearchResult:
     #: best-so-far objective after each evaluation (length == evaluations)
     trace: list[float] = field(repr=False, default_factory=list)
 
-    def best_value_at(self, evaluation: int) -> float:
-        """Best value had the search stopped after ``evaluation`` scores."""
-        if not self.trace:
-            raise ValueError("search recorded no trace")
-        if evaluation < 1:
-            raise ValueError(f"evaluation must be >= 1, got {evaluation}")
-        return self.trace[min(evaluation, len(self.trace)) - 1]
-
 
 class BudgetTracker:
     """Budget accounting + best-so-far tracking over an evaluation engine.

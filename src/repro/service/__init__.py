@@ -30,7 +30,7 @@ keeps the hardware saturated across them:
 See ``docs/architecture.md`` for the request lifecycle.
 """
 
-from .client import ServiceClient, fetch_stats, request_shutdown, submit
+from .client import ServiceClient, submit
 from .protocol import DEFAULT_HOST, DEFAULT_PORT, SubmitRequest
 from .server import CampaignServer, ServiceStats
 from .store import STORE_SCHEMA_VERSION, CellKey, ResultStore
@@ -45,7 +45,5 @@ __all__ = [
     "ServiceClient",
     "ServiceStats",
     "SubmitRequest",
-    "fetch_stats",
-    "request_shutdown",
     "submit",
 ]

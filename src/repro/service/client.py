@@ -6,10 +6,9 @@ server's incremental cell events as they arrive (``on_event``
 callback), so a CLI can print progress while a multi-cell submit is
 still running.
 
-The module-level helpers — :func:`submit`, :func:`fetch_stats`,
-:func:`request_shutdown` — are synchronous wrappers (one connection,
-one operation, ``asyncio.run``) for callers without an event loop:
-the ``repro submit`` CLI, tests, and scripts.
+The module-level :func:`submit` is a synchronous wrapper (one
+connection, one operation, ``asyncio.run``) for callers without an
+event loop: the ``repro submit`` CLI, tests, and scripts.
 
 Connecting is fault-tolerant: an unreachable or *restarting* server is
 retried under a bounded :class:`~repro.reliability.RetryPolicy` with
@@ -184,35 +183,5 @@ def submit(
     async def run() -> list[dict]:
         async with ServiceClient(host, port, retry=retry) as client:
             return await client.submit(request, on_event=on_event)
-
-    return asyncio.run(run())
-
-
-def fetch_stats(
-    *,
-    host: str = DEFAULT_HOST,
-    port: int = DEFAULT_PORT,
-    retry: RetryPolicy | None = None,
-) -> dict:
-    """Synchronous one-connection stats fetch."""
-
-    async def run() -> dict:
-        async with ServiceClient(host, port, retry=retry) as client:
-            return await client.stats()
-
-    return asyncio.run(run())
-
-
-def request_shutdown(
-    *,
-    host: str = DEFAULT_HOST,
-    port: int = DEFAULT_PORT,
-    retry: RetryPolicy | None = None,
-) -> None:
-    """Synchronous one-connection shutdown request."""
-
-    async def run() -> None:
-        async with ServiceClient(host, port, retry=retry) as client:
-            await client.shutdown()
 
     return asyncio.run(run())

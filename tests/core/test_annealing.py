@@ -104,21 +104,6 @@ class TestRun:
         res = sa.run(smooth_objective, iterations=50, record_history=False)
         assert res.history == []
 
-    def test_checkpoint_queries(self):
-        sa = SimulatedAnnealing(SPACE, seed=8)
-        res = sa.run(smooth_objective, iterations=100)
-        assert res.best_energy_at(100) == res.best_energy.value
-        assert res.best_energy_at(10) >= res.best_energy_at(100)
-        assert res.best_config_at(100) == res.best_config
-        with pytest.raises(ValueError):
-            res.best_energy_at(0)
-
-    def test_checkpoint_without_history_raises(self):
-        sa = SimulatedAnnealing(SPACE, seed=9)
-        res = sa.run(smooth_objective, iterations=10, record_history=False)
-        with pytest.raises(ValueError, match="history"):
-            res.best_energy_at(5)
-
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -48,7 +48,7 @@ class TestTunePlatform:
         r = tune_platform("dualphi", method="SAM", size_mb=SIZE_MB, iterations=ITERS)
         assert r.experiments < r.space_size
         assert 0.0 < r.budget_fraction < 0.1
-        assert r.speedup_vs_em_budget > 10
+        assert r.space_size / max(1, r.experiments) > 10
 
     def test_deviceless_platform_tunes_host_only(self):
         r = tune_platform("manycore", method="SAM", size_mb=SIZE_MB, iterations=ITERS)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Energy, MeasurementEvaluator, MLEvaluator, make_objective
+from repro.core import Energy, EvaluatorObjective, MeasurementEvaluator, MLEvaluator
 from repro.core.params import SystemConfiguration
 from repro.machines import PlatformSimulator
 
@@ -95,5 +95,5 @@ class TestMLEvaluator:
 class TestMakeObjective:
     def test_adapts_to_plain_callable(self):
         ev = MLEvaluator(_ConstModel(1.0), _ConstModel(3.0))
-        obj = make_objective(ev, 1000.0)
+        obj = EvaluatorObjective(ev, 1000.0)
         assert obj(config(50.0)) == 3.0

@@ -13,10 +13,10 @@ from repro.core import (
     ENGINE_NAMES,
     BatchedEngine,
     CachedEngine,
+    EvaluatorObjective,
     ParameterSpace,
     SerialEngine,
     make_engine,
-    make_objective,
     run_method,
 )
 from repro.core.engine import EvaluationEngine
@@ -211,8 +211,8 @@ class TestBatchedEngine:
 
     def test_ml_batch_is_bit_identical_to_serial(self, ml):
         configs = random_configs(64, seed=9)
-        serial = SerialEngine().evaluate_batch(make_objective(ml, 2435.0), configs)
-        batched = BatchedEngine(16).evaluate_batch(make_objective(ml, 2435.0), configs)
+        serial = SerialEngine().evaluate_batch(EvaluatorObjective(ml, 2435.0), configs)
+        batched = BatchedEngine(16).evaluate_batch(EvaluatorObjective(ml, 2435.0), configs)
         assert serial == batched  # exact float equality, not approx
 
 
@@ -294,11 +294,11 @@ class TestEngineDeterminism:
     @pytest.mark.parametrize("cls", ALL_SEARCHERS)
     def test_searcher_identical_on_ml_objective(self, cls, ml):
         reference = cls(SMALL_SPACE, seed=1).run(
-            make_objective(ml, 3170.0), budget=60
+            EvaluatorObjective(ml, 3170.0), budget=60
         )
         for engine in engine_variants():
             result = cls(SMALL_SPACE, seed=1, engine=engine).run(
-                make_objective(ml, 3170.0), budget=60
+                EvaluatorObjective(ml, 3170.0), budget=60
             )
             assert result.trace == reference.trace, engine.name
             assert result.best_config == reference.best_config, engine.name

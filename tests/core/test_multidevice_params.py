@@ -227,12 +227,6 @@ class TestMultiDeviceConfigTable:
         assert table.num_devices == 2
         assert table.configs() == configs
 
-    def test_from_space_matches_iteration_order(self):
-        space = small_space()
-        table = ConfigTable.from_space(space)
-        assert len(table) == space.size()
-        assert table.configs() == list(space)
-
     def test_part_mb_matches_scalar_rule(self):
         space = small_space()
         configs = list(space)[::11]

@@ -7,7 +7,6 @@ from repro.dna import (
     DEFAULT_MOTIFS,
     PROMOTER_MOTIFS,
     RESTRICTION_SITES,
-    MotifSet,
     motif_set,
 )
 
@@ -34,14 +33,6 @@ class TestMotifSet:
         assert len(ms) == 2
         assert list(ms) == ["AC", "GT"]
         assert ms[1] == "GT"
-
-    def test_lengths(self):
-        ms = motif_set("x", ["AC", "GTCA"])
-        assert ms.total_length == 6
-        assert ms.max_length == 4
-
-    def test_empty_set_max_length(self):
-        assert MotifSet("empty").max_length == 0
 
     def test_union_preserves_order_and_dedups(self):
         a = motif_set("a", ["AC", "GT"])

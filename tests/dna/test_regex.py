@@ -2,7 +2,6 @@
 
 import re
 
-import numpy as np
 import pytest
 
 from repro.dna import encode, generate_sequence, scan_sequential

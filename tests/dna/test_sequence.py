@@ -1,4 +1,4 @@
-"""Synthetic genomes and FASTA I/O."""
+"""Synthetic genomes and base fractions."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,10 @@ from repro.dna import (
     GENOME_ORDER,
     GENOMES,
     GenomeSpec,
-    decode,
     fraction_bases,
     gc_content,
     generate_sequence,
     genome_sample,
-    read_fasta,
-    read_fasta_string,
-    write_fasta,
 )
 
 
@@ -73,39 +69,6 @@ class TestGenomes:
             GenomeSpec("x", -1.0, 0.4, 1)
         with pytest.raises(ValueError):
             GenomeSpec("x", 10.0, 1.5, 1)
-
-
-class TestFasta:
-    def test_round_trip(self, tmp_path):
-        codes = generate_sequence(500, seed=9)
-        path = tmp_path / "seq.fa"
-        write_fasta(path, codes, header="test-seq")
-        header, back = read_fasta(path)
-        assert header == "test-seq"
-        assert np.array_equal(codes, back)
-
-    def test_wraps_lines(self, tmp_path):
-        path = tmp_path / "seq.fa"
-        write_fasta(path, generate_sequence(200, seed=1), width=70)
-        lines = path.read_text().splitlines()
-        assert all(len(line) <= 70 for line in lines[1:])
-
-    def test_read_string(self):
-        header, codes = read_fasta_string(">hdr\nACGT\nACGT\n")
-        assert header == "hdr"
-        assert decode(codes) == "ACGTACGT"
-
-    def test_only_first_record(self):
-        _, codes = read_fasta_string(">a\nAC\n>b\nGGGG\n")
-        assert decode(codes) == "AC"
-
-    def test_non_fasta_rejected(self):
-        with pytest.raises(ValueError, match="FASTA"):
-            read_fasta_string("ACGT\n")
-
-    def test_bad_width_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_fasta(tmp_path / "x.fa", generate_sequence(10), width=0)
 
 
 class TestFractionBases:

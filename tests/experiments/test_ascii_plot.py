@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.experiments.ascii_plot import gantt, line_plot
-from repro.machines import PlatformSimulator
-from repro.runtime import TaskFarmScheduler
+from repro.experiments.ascii_plot import line_plot
 
 
 class TestLinePlot:
@@ -47,28 +45,3 @@ class TestLinePlot:
         series = kwargs.pop("series")
         with pytest.raises(ValueError):
             line_plot(x, series, **kwargs)
-
-
-class TestGantt:
-    @pytest.fixture(scope="class")
-    def timeline(self):
-        farm = TaskFarmScheduler(PlatformSimulator(seed=0, noise=False), seed=0)
-        return farm.run(3170.0, 24).timeline
-
-    def test_two_lanes(self, timeline):
-        out = gantt(timeline)
-        lines = [ln for ln in out.splitlines() if "|" in ln]
-        assert len(lines) == 2
-        assert any(ln.strip().startswith("host") for ln in lines)
-        assert any(ln.strip().startswith("device") for ln in lines)
-
-    def test_busy_lanes_are_dense(self, timeline):
-        out = gantt(timeline, width=60)
-        host_lane = next(ln for ln in out.splitlines() if ln.strip().startswith("host"))
-        bar = host_lane.split("|")[1]
-        # A well-balanced farm keeps the host almost always busy.
-        assert bar.count(" ") < 0.2 * len(bar)
-
-    def test_empty_timeline_rejected(self):
-        with pytest.raises(ValueError):
-            gantt([])

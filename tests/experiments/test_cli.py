@@ -90,6 +90,21 @@ class TestEngineFlags:
         assert main(["table2", "--engine", "batched"]) == 0
 
 
+class TestSeedsFlag:
+    @pytest.mark.parametrize("artifact, seeds", [("summary", "0"), ("table6", "-2")])
+    def test_non_positive_seeds_rejected_before_training(
+        self, artifact, seeds, capsys, monkeypatch
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained a context for a study that cannot run")
+
+        monkeypatch.setattr("repro.cli.platform_context", no_training)
+        assert main([artifact, "--seeds", seeds]) == 2
+        captured = capsys.readouterr()
+        assert "error: n_seeds must be >= 1" in captured.err
+        assert captured.out == ""
+
+
 class TestPlatformFlags:
     """End-to-end coverage of --platform and the campaign/platforms artifacts."""
 

@@ -80,3 +80,18 @@ class TestHeadlineClaim:
         frac = experiments_saved_fraction(ctx, 1000)
         assert frac == pytest.approx(1000 / 19926)
         assert 0.04 < frac < 0.06
+
+
+class TestSeedCount:
+    @pytest.mark.parametrize("n_seeds", [0, -2])
+    def test_study_genome_rejects_before_any_chain(self, ctx, n_seeds):
+        before = ctx.sim.experiment_count
+        with pytest.raises(ValueError, match="n_seeds must be >= 1"):
+            study_genome(ctx, "cat", checkpoints=(100,), n_seeds=n_seeds)
+        assert ctx.sim.experiment_count == before
+
+    def test_run_iteration_study_rejects(self, ctx):
+        before = ctx.sim.experiment_count
+        with pytest.raises(ValueError, match="n_seeds must be >= 1"):
+            run_iteration_study(ctx, genomes=("cat",), checkpoints=(100,), n_seeds=0)
+        assert ctx.sim.experiment_count == before

@@ -6,12 +6,10 @@ the pipeline are both deterministic), then drives the registered
 like a built-in workload.
 """
 
-import numpy as np
 import pytest
 
 from repro.core import TuningOptions, clear_em_cache, tune_matrix, tune_scenario
 from repro.dna import BUNDLED_FASTA, ingest_fasta, register_ingest
-from repro.dna.ingest import background_sample
 from repro.dna.workloads import WORKLOADS
 
 ITERS = 80
@@ -59,14 +57,6 @@ class TestGoldenIngest:
         assert again.workload == report.workload
         assert again.background == report.background
         assert again.workload.content_digest() == report.workload.content_digest()
-
-    def test_background_sample_is_deterministic(self):
-        first = background_sample(BUNDLED_FASTA, shuffle_seed=0)
-        second = background_sample(BUNDLED_FASTA, shuffle_seed=0)
-        assert [h for h, _ in first] == [h for h, _ in second]
-        assert all(
-            np.array_equal(a, b) for (_, a), (_, b) in zip(first, second)
-        )
 
     def test_different_seed_changes_the_background(self, report):
         other = ingest_fasta(BUNDLED_FASTA, shuffle_seed=1)

@@ -148,9 +148,9 @@ class TestMultiDeviceSearchers:
     def test_searcher_stays_in_the_multi_device_space(self, cls):
         space = sub_space("dualphi")
         evaluator = MeasurementEvaluator(PlatformSimulator("dualphi", seed=0))
-        from repro.core import make_objective
+        from repro.core import EvaluatorObjective
 
-        result = cls(space, seed=0).run(make_objective(evaluator, SIZE_MB), budget=40)
+        result = cls(space, seed=0).run(EvaluatorObjective(evaluator, SIZE_MB), budget=40)
         assert result.evaluations == 40
         assert result.best_config in space
         assert result.best_config.num_devices == 2

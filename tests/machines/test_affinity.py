@@ -10,8 +10,15 @@ from repro.machines import (
     place_device_threads,
     place_host_threads,
     placement_stats,
-    validate_placement,
 )
+
+
+def assert_physical(slots, cores, threads_per_core):
+    """No hardware thread is used twice and every slot is in range."""
+    assert len(set(slots)) == len(slots)
+    for slot in slots:
+        assert 0 <= slot.core < cores
+        assert 0 <= slot.hwthread < threads_per_core
 
 
 class TestHostPlacement:
@@ -20,7 +27,7 @@ class TestHostPlacement:
     def test_placements_are_physically_valid(self, affinity, n):
         slots = place_host_threads(n, affinity, EMIL)
         assert len(slots) == n
-        validate_placement(slots, cpu=EMIL.cpu)
+        assert_physical(slots, EMIL.cpu.cores, EMIL.cpu.threads_per_core)
 
     def test_scatter_spreads_across_sockets_first(self):
         stats = placement_stats(place_host_threads(2, "scatter", EMIL))
@@ -30,22 +37,22 @@ class TestHostPlacement:
     def test_scatter_avoids_hyperthreads_until_cores_full(self):
         stats = placement_stats(place_host_threads(24, "scatter", EMIL))
         assert stats.cores_used == 24
-        assert stats.max_occupancy == 1
+        assert max(k for k, _ in stats.threads_per_core) == 1
 
     def test_scatter_48_fills_every_hwthread(self):
         stats = placement_stats(place_host_threads(48, "scatter", EMIL))
-        assert stats.occupancy_histogram == {2: 24}
+        assert dict(stats.threads_per_core) == {2: 24}
 
     def test_compact_packs_one_socket_first(self):
         stats = placement_stats(place_host_threads(24, "compact", EMIL))
         assert stats.sockets_used == 1
         assert stats.cores_used == 12
-        assert stats.max_occupancy == 2
+        assert max(k for k, _ in stats.threads_per_core) == 2
 
     def test_compact_two_threads_share_core(self):
         stats = placement_stats(place_host_threads(2, "compact", EMIL))
         assert stats.cores_used == 1
-        assert stats.occupancy_histogram == {2: 1}
+        assert dict(stats.threads_per_core) == {2: 1}
 
     def test_none_spreads_like_scatter(self):
         assert place_host_threads(13, "none", EMIL) == place_host_threads(
@@ -71,16 +78,16 @@ class TestDevicePlacement:
     def test_placements_are_physically_valid(self, affinity, n):
         slots = place_device_threads(n, affinity, EMIL.device)
         assert len(slots) == n
-        validate_placement(slots, device=EMIL.device)
+        assert_physical(slots, EMIL.device.usable_cores, EMIL.device.threads_per_core)
 
     def test_balanced_spreads_across_cores(self):
         stats = placement_stats(place_device_threads(60, "balanced", EMIL.device))
         assert stats.cores_used == 60
-        assert stats.max_occupancy == 1
+        assert max(k for k, _ in stats.threads_per_core) == 1
 
     def test_balanced_120_two_per_core(self):
         stats = placement_stats(place_device_threads(120, "balanced", EMIL.device))
-        assert stats.occupancy_histogram == {2: 60}
+        assert dict(stats.threads_per_core) == {2: 60}
 
     def test_balanced_keeps_consecutive_threads_together(self):
         slots = place_device_threads(90, "balanced", EMIL.device)
@@ -88,17 +95,17 @@ class TestDevicePlacement:
         # threads 0,1 share core 0.
         assert slots[0].core == slots[1].core == 0
         stats = placement_stats(slots)
-        assert stats.occupancy_histogram == {1: 30, 2: 30}
+        assert dict(stats.threads_per_core) == {1: 30, 2: 30}
 
     def test_compact_fills_cores_fully(self):
         stats = placement_stats(place_device_threads(8, "compact", EMIL.device))
         assert stats.cores_used == 2
-        assert stats.occupancy_histogram == {4: 2}
+        assert dict(stats.threads_per_core) == {4: 2}
 
     def test_scatter_round_robins(self):
         stats = placement_stats(place_device_threads(61, "scatter", EMIL.device))
         assert stats.cores_used == 60
-        assert stats.occupancy_histogram == {1: 59, 2: 1}
+        assert dict(stats.threads_per_core) == {1: 59, 2: 1}
 
     def test_rejects_overflow(self):
         with pytest.raises(ValueError, match="at most 240"):

@@ -3,10 +3,7 @@
 import pytest
 
 from repro.machines.cache import (
-    amdahl_speedup,
     device_locality_factor,
-    effective_simd_lanes,
-    gustafson_speedup,
     host_locality_factor,
     locality_factor,
     log2_threads,
@@ -57,33 +54,6 @@ class TestWorkingSet:
 
 
 class TestScalingLaws:
-    def test_amdahl_limits(self):
-        assert amdahl_speedup(1.0, 16) == pytest.approx(16.0)
-        assert amdahl_speedup(0.0, 16) == pytest.approx(1.0)
-
-    def test_amdahl_classic_value(self):
-        # 95% parallel at infinity-ish n approaches 20x.
-        assert amdahl_speedup(0.95, 1e9) == pytest.approx(20.0, rel=1e-6)
-
-    def test_gustafson_scales_linearly(self):
-        assert gustafson_speedup(1.0, 64) == pytest.approx(64.0)
-        assert gustafson_speedup(0.5, 64) == pytest.approx(32.5)
-
-    @pytest.mark.parametrize("bad", [-0.1, 1.1])
-    def test_fraction_bounds(self, bad):
-        with pytest.raises(ValueError):
-            amdahl_speedup(bad, 4)
-        with pytest.raises(ValueError):
-            gustafson_speedup(bad, 4)
-
-    def test_simd_lanes(self):
-        assert effective_simd_lanes(512, 8) == 64
-        assert effective_simd_lanes(512, 32) == 16
-        assert effective_simd_lanes(256, 64) == 4
-
-    def test_simd_lanes_rejects_zero(self):
-        with pytest.raises(ValueError):
-            effective_simd_lanes(0)
 
     def test_log2_threads(self):
         assert log2_threads(8) == pytest.approx(3.0)

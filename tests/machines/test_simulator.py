@@ -62,9 +62,3 @@ class TestAccounting:
         log = sim.log
         assert [m.side for m in log] == ["host", "device"]
         assert log[1].mb == 200.0
-
-    def test_reset_counter(self, sim):
-        sim.measure_host(24, "scatter", 100.0)
-        sim.reset_counter()
-        assert sim.experiment_count == 0
-        assert sim.log == []

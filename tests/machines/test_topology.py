@@ -1,27 +1,9 @@
 """Slot enumeration and placement statistics."""
 
-import pytest
-
-from repro.machines import (
-    EMIL,
-    CPUSpec,
-    PhiSpec,
-    Slot,
-    device_slots,
-    host_slots,
-    placement_stats,
-    validate_placement,
-)
+from repro.machines import EMIL, Slot, device_slots, placement_stats
 
 
 class TestEnumeration:
-    def test_host_slot_count(self):
-        assert len(host_slots(EMIL)) == 48
-
-    def test_host_slots_unique(self):
-        slots = host_slots(EMIL)
-        assert len(set(slots)) == len(slots)
-
     def test_device_slot_count_excludes_os_core(self):
         assert len(device_slots(EMIL.device)) == 240
 
@@ -35,51 +17,22 @@ class TestPlacementStats:
         assert stats.n_threads == 0
         assert stats.cores_used == 0
         assert stats.sockets_used == 0
-        assert stats.max_occupancy == 0
+        assert stats.threads_per_core == ()
 
     def test_single_core_two_threads(self):
         stats = placement_stats([Slot(0, 3, 0), Slot(0, 3, 1)])
         assert stats.n_threads == 2
         assert stats.cores_used == 1
         assert stats.sockets_used == 1
-        assert stats.occupancy_histogram == {2: 1}
-        assert stats.max_occupancy == 2
+        assert stats.threads_per_core == ((2, 1),)
 
     def test_cross_socket_spread(self):
         stats = placement_stats([Slot(0, 0, 0), Slot(1, 0, 0), Slot(1, 5, 0)])
         assert stats.sockets_used == 2
         assert stats.cores_used == 3
-        assert stats.occupancy_histogram == {1: 3}
+        assert stats.threads_per_core == ((1, 3),)
 
     def test_mixed_occupancy_histogram(self):
         slots = [Slot(0, 0, 0), Slot(0, 0, 1), Slot(0, 1, 0)]
         stats = placement_stats(slots)
-        assert stats.occupancy_histogram == {1: 1, 2: 1}
-
-
-class TestValidatePlacement:
-    def test_valid_host_placement_passes(self):
-        validate_placement([Slot(0, 0, 0), Slot(1, 11, 1)], cpu=CPUSpec())
-
-    def test_duplicate_slot_rejected(self):
-        with pytest.raises(ValueError, match="twice"):
-            validate_placement([Slot(0, 0, 0), Slot(0, 0, 0)], cpu=CPUSpec())
-
-    def test_core_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="core"):
-            validate_placement([Slot(0, 12, 0)], cpu=CPUSpec())
-
-    def test_hwthread_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="hwthread"):
-            validate_placement([Slot(0, 0, 2)], cpu=CPUSpec())
-
-    def test_device_core_range_uses_usable_cores(self):
-        with pytest.raises(ValueError, match="core"):
-            validate_placement([Slot(0, 60, 0)], device=PhiSpec())
-        validate_placement([Slot(0, 59, 3)], device=PhiSpec())
-
-    def test_requires_exactly_one_spec(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            validate_placement([], cpu=CPUSpec(), device=PhiSpec())
-        with pytest.raises(ValueError, match="exactly one"):
-            validate_placement([])
+        assert stats.threads_per_core == ((1, 1), (2, 1))

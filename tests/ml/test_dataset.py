@@ -8,7 +8,6 @@ from repro.ml import (
     HOST_FEATURE_NAMES,
     Dataset,
     Standardizer,
-    build_dataset,
     encode_device_row,
     encode_host_row,
 )
@@ -42,13 +41,13 @@ class TestStandardizer:
     def test_zero_mean_unit_std(self):
         rng = np.random.default_rng(0)
         X = rng.normal(5.0, 3.0, size=(500, 3))
-        Z = Standardizer().fit_transform(X)
+        Z = Standardizer().fit(X).transform(X)
         assert np.allclose(Z.mean(axis=0), 0.0, atol=1e-9)
         assert np.allclose(Z.std(axis=0), 1.0, atol=1e-9)
 
     def test_constant_column_passes_through(self):
         X = np.ones((10, 1))
-        Z = Standardizer().fit_transform(X)
+        Z = Standardizer().fit(X).transform(X)
         assert np.allclose(Z, 0.0)  # mean removed, scale forced to 1
 
     def test_transform_before_fit_raises(self):
@@ -80,8 +79,3 @@ class TestEncoding:
     def test_unknown_affinity_rejected(self):
         with pytest.raises(ValueError, match="unknown level"):
             encode_host_row(2, "balanced", 1.0)
-
-    def test_build_dataset(self):
-        ds = build_dataset([[1.0, 2.0]], [3.0], ("a", "b"))
-        assert ds.X.shape == (1, 2)
-        assert ds.y[0] == 3.0

@@ -10,9 +10,7 @@ from repro.ml import (
     error_histogram,
     mean_absolute_error,
     mean_percent_error,
-    mean_squared_error,
     percent_error,
-    r2_score,
 )
 
 
@@ -38,17 +36,6 @@ class TestErrors:
         p = np.array([1.1, 1.8])
         assert mean_absolute_error(m, p) == pytest.approx(0.15)
         assert mean_percent_error(m, p) == pytest.approx((10.0 + 10.0) / 2)
-        assert mean_squared_error(m, p) == pytest.approx((0.01 + 0.04) / 2)
-
-    def test_r2_perfect_and_mean_model(self):
-        y = np.array([1.0, 2.0, 3.0])
-        assert r2_score(y, y) == pytest.approx(1.0)
-        assert r2_score(y, np.full(3, 2.0)) == pytest.approx(0.0)
-
-    def test_r2_constant_target(self):
-        y = np.ones(3)
-        assert r2_score(y, y) == 1.0
-        assert r2_score(y, y + 1) == 0.0
 
 
 class TestHistogram:

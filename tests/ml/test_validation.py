@@ -1,16 +1,9 @@
-"""Train/test protocols: half split, k-fold, evaluation wrappers."""
+"""Train/test protocol: the half split."""
 
 import numpy as np
 import pytest
 
-from repro.ml import (
-    Dataset,
-    LinearRegression,
-    cross_validate,
-    half_split,
-    kfold_indices,
-    train_and_evaluate,
-)
+from repro.ml import half_split
 
 
 class TestHalfSplit:
@@ -32,40 +25,3 @@ class TestHalfSplit:
     def test_rejects_tiny_n(self):
         with pytest.raises(ValueError):
             half_split(1)
-
-
-class TestKFold:
-    def test_every_sample_tested_once(self):
-        folds = kfold_indices(23, 5, seed=1)
-        tested = np.sort(np.concatenate([test for _, test in folds]))
-        assert np.array_equal(tested, np.arange(23))
-
-    def test_train_test_disjoint_per_fold(self):
-        for train, test in kfold_indices(30, 3):
-            assert len(np.intersect1d(train, test)) == 0
-
-    def test_rejects_bad_k(self):
-        with pytest.raises(ValueError):
-            kfold_indices(10, 1)
-        with pytest.raises(ValueError):
-            kfold_indices(10, 11)
-
-
-def linear_dataset(n=200, seed=0):
-    rng = np.random.default_rng(seed)
-    X = rng.random((n, 2))
-    y = X @ np.array([1.0, 2.0]) + 3.0
-    return Dataset(X, y, ("a", "b"))
-
-
-class TestEvaluationWrappers:
-    def test_train_and_evaluate_perfect_model(self):
-        res = train_and_evaluate(LinearRegression, linear_dataset())
-        assert res.mean_absolute_error_s < 1e-9
-        assert res.mean_percent_error < 1e-6
-        assert res.n_train + res.n_test == 200
-
-    def test_cross_validate_fold_count(self):
-        results = cross_validate(LinearRegression, linear_dataset(), k=4)
-        assert len(results) == 4
-        assert all(r.mean_absolute_error_s < 1e-9 for r in results)

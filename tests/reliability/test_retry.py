@@ -7,7 +7,6 @@ from repro.reliability import (
     DegradationEvent,
     RetryPolicy,
     RetryStats,
-    call_with_retry,
     reliability_stats,
     reset_reliability_stats,
 )
@@ -60,52 +59,6 @@ class TestDeterministicBackoff:
 
     def test_seed_moves_the_schedule(self):
         assert RetryPolicy(seed=1).backoff(0) != RetryPolicy(seed=2).backoff(0)
-
-
-class TestCallWithRetry:
-    def test_succeeds_after_transient_failures(self):
-        calls = []
-        delays = []
-
-        def flaky():
-            calls.append(1)
-            if len(calls) < 3:
-                raise OSError("transient")
-            return "ok"
-
-        stats = RetryStats()
-        policy = RetryPolicy(max_attempts=3, backoff_s=0.05)
-        out = call_with_retry(
-            flaky, policy=policy, key=9, stats=stats, sleep=delays.append
-        )
-        assert out == "ok"
-        assert (stats.attempts, stats.crashes, stats.retries) == (3, 2, 2)
-        assert delays == [policy.backoff(0, 9), policy.backoff(1, 9)]
-
-    def test_exhausted_budget_reraises_the_last_error(self):
-        stats = RetryStats()
-
-        def always():
-            raise OSError("still down")
-
-        with pytest.raises(OSError, match="still down"):
-            call_with_retry(
-                always,
-                policy=RetryPolicy(max_attempts=3, backoff_s=0.0),
-                stats=stats,
-                sleep=lambda _: None,
-            )
-        assert (stats.attempts, stats.crashes) == (3, 3)
-
-    def test_non_transient_errors_propagate_immediately(self):
-        stats = RetryStats()
-
-        def typed():
-            raise TypeError("a bug, not weather")
-
-        with pytest.raises(TypeError):
-            call_with_retry(typed, retry_on=(OSError,), stats=stats)
-        assert (stats.attempts, stats.retries) == (1, 0)
 
 
 class TestRetryStats:

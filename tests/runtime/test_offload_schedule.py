@@ -7,7 +7,6 @@ from repro.machines import PlatformSimulator
 from repro.runtime import (
     AdaptiveRebalancer,
     ExecutionOutcome,
-    StaticSchedule,
     run_configuration,
 )
 
@@ -43,11 +42,6 @@ class TestRunConfiguration:
         sim = PlatformSimulator(seed=0)
         run_configuration(sim, config(), 1000.0)
         assert sim.experiment_count == 2
-
-    def test_static_schedule_wraps_run(self):
-        sim = PlatformSimulator(seed=0)
-        out = StaticSchedule(config()).execute(sim, 1000.0)
-        assert out.total > 0
 
 
 class TestAdaptiveRebalancer:

@@ -54,11 +54,6 @@ class TestCommonContract:
         assert a.best_value == b.best_value
         assert a.best_config == b.best_config
 
-    def test_best_value_at_checkpoints(self, cls):
-        result = cls(SPACE, seed=4).run(objective, budget=100)
-        assert result.best_value_at(100) == result.best_value
-        assert result.best_value_at(10) >= result.best_value_at(100)
-
     def test_rejects_zero_budget(self, cls):
         with pytest.raises(ValueError):
             cls(SPACE, seed=0).run(objective, budget=0)
