@@ -27,6 +27,28 @@ class TestEnergy:
     def test_ordering(self):
         assert Energy(1.0, 1.0) < Energy(2.0, 0.1)
 
+    @pytest.mark.parametrize(
+        "parts, expected",
+        [((1.0, 2.0, (3.0,)), 3.0), ((4.0, 2.0, (3.0, 1.0)), 4.0), ((1.0, 5.0, (0.5,)), 5.0)],
+        ids=["extra-card-dominates", "host-dominates", "primary-dominates"],
+    )
+    def test_value_is_max_over_every_card(self, parts, expected):
+        t_host, t_device, t_extra = parts
+        assert Energy(t_host, t_device, t_extra).value == expected
+
+    def test_t_devices_lists_the_primary_card_first(self):
+        assert Energy(1.0, 2.0).t_devices == (2.0,)
+        assert Energy(1.0, 2.0, (3.0, 4.0)).t_devices == (2.0, 3.0, 4.0)
+
+    def test_ordering_compares_multi_device_values(self):
+        assert Energy(1.0, 1.0, (0.5,)) < Energy(0.1, 0.1, (2.0,))
+        assert not Energy(0.1, 0.1, (2.0,)) < Energy(1.0, 1.0, (0.5,))
+
+    def test_energy_is_immutable(self):
+        energy = Energy(1.0, 2.0)
+        with pytest.raises(AttributeError):
+            energy.t_host = 0.0
+
 
 class TestMeasurementEvaluator:
     def test_counts_distinct_configurations(self):

@@ -104,6 +104,27 @@ class TestSeedsFlag:
         assert "error: n_seeds must be >= 1" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "artifact", ["fig9", "table6", "table7", "table8", "table9", "summary", "all"]
+    )
+    def test_every_study_artifact_checks_seeds_first(
+        self, artifact, seeds, capsys, monkeypatch
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained a context for a study that cannot run")
+
+        monkeypatch.setattr("repro.cli.platform_context", no_training)
+        assert main([artifact, "--seeds", seeds]) == 2
+        captured = capsys.readouterr()
+        assert f"error: n_seeds must be >= 1, got {seeds}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("artifact", ["table1", "table2", "table3"])
+    def test_artifacts_without_a_study_ignore_the_seed_count(self, artifact, capsys):
+        assert main([artifact, "--seeds", "0"]) == 0
+        assert "error" not in capsys.readouterr().err
+
 
 class TestPlatformFlags:
     """End-to-end coverage of --platform and the campaign/platforms artifacts."""

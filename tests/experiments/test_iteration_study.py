@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments import run_iteration_study, study_genome
-from repro.experiments.iterations import experiments_saved_fraction
+from repro.experiments.iterations import check_n_seeds, experiments_saved_fraction
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +83,15 @@ class TestHeadlineClaim:
 
 
 class TestSeedCount:
+    @pytest.mark.parametrize("n_seeds", [1, 5])
+    def test_check_n_seeds_accepts_positive_counts(self, n_seeds):
+        check_n_seeds(n_seeds)
+
+    @pytest.mark.parametrize("n_seeds", [0, -1, -100])
+    def test_check_n_seeds_names_the_bad_count(self, n_seeds):
+        with pytest.raises(ValueError, match=f"n_seeds must be >= 1, got {n_seeds}"):
+            check_n_seeds(n_seeds)
+
     @pytest.mark.parametrize("n_seeds", [0, -2])
     def test_study_genome_rejects_before_any_chain(self, ctx, n_seeds):
         before = ctx.sim.experiment_count
