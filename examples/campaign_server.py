@@ -51,23 +51,24 @@ BOB = SubmitRequest(
 
 
 def show(name: str, events: list[dict]) -> dict[str, dict]:
-    """Print one submit's terminal cell events; return them by cell."""
-    cells = {}
-    for cell in cell_results(events):
-        label = f"{cell['workload']}@{cell['platform']}"
-        print(f"  {name:<6} {label:<22} <- {cell['source']}")
-        cells[label] = cell
+    """Print one submit's terminal cell events, sorted by cell label
+    (cells finish in any order); return them by label."""
+    cells = {f"{cell['workload']}@{cell['platform']}": cell for cell in cell_results(events)}
+    for label in sorted(cells):
+        print(f"  {name:<6} {label:<22} <- {cells[label]['source']}")
     return cells
 
 
 async def overlapping_clients(port: int) -> None:
     print("two clients, overlapping batches, submitted concurrently:")
 
-    async def one(name: str, request: SubmitRequest) -> dict[str, dict]:
+    async def one(request: SubmitRequest) -> list[dict]:
         async with ServiceClient(port=port) as client:
-            return show(name, await client.submit(request))
+            return await client.submit(request)
 
-    alice, bob = await asyncio.gather(one("alice", ALICE), one("bob", BOB))
+    # Either client may finish first: print after both, in a fixed order.
+    alice_events, bob_events = await asyncio.gather(one(ALICE), one(BOB))
+    alice, bob = show("alice", alice_events), show("bob", bob_events)
     shared = "short-read@Emil"
     sources = {alice[shared]["source"], bob[shared]["source"]}
     assert sources <= {"evaluate", "coalesced", "store"}
@@ -92,9 +93,7 @@ async def repeat_submit(port: int) -> None:
     )
 
 
-async def demo() -> None:
-    store_path = Path(tempfile.mkdtemp()) / "results.jsonl"
-
+async def demo(store_path: Path) -> None:
     server = await CampaignServer(ResultStore(store_path), port=0).start()
     try:
         await overlapping_clients(server.port)
@@ -113,13 +112,14 @@ async def demo() -> None:
     finally:
         await restarted.stop()
 
-    print(f"\nstore file: {store_path}")
+    print(f"\nstore file: {store_path.name}")
     for line in ResultStore(store_path).describe_entries():
         print(f"  {line}")
 
 
 def main() -> None:
-    asyncio.run(demo())
+    with tempfile.TemporaryDirectory() as tmp:
+        asyncio.run(demo(Path(tmp) / "results.jsonl"))
 
 
 if __name__ == "__main__":

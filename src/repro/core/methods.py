@@ -14,7 +14,7 @@ measured values", section IV-C).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..machines.simulator import PlatformSimulator
 from .annealing import AnnealingResult, SimulatedAnnealing
@@ -75,7 +75,10 @@ class MethodResult:
     search_energy: Energy  # energy the search itself saw (may be predicted)
     experiments: int  # timed experiments consumed by the search
     search_evaluations: int  # configurations scored during the search
-    annealing: AnnealingResult | None = None
+    #: Search-internal trace of the annealing methods.  Only enumeration
+    #: references (no trace) are storable: the codec leaves this field
+    #: out and refuses a result that carries one.
+    annealing: AnnealingResult | None = field(default=None, metadata={"encode": False})
 
     @property
     def measured_time(self) -> float:

@@ -42,9 +42,9 @@ for throwaway workloads); registration is idempotent per key.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
+from ..codec import digest
 from ..machines.cache import working_set_kb
 from ..machines.perfmodel import (
     DEVICE_THREAD_RATE_MBS,
@@ -228,7 +228,7 @@ class WorkloadSpec:
         (:meth:`repro.service.store.CellKey.for_request`) — their *name*
         alone does not pin their content the way a built-in's does.
         """
-        return hashlib.sha256(repr(self).encode("utf-8")).hexdigest()
+        return digest(self)
 
     def profile(self) -> WorkloadProfile:
         """The performance-model handle this scenario derives.

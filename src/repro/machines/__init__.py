@@ -49,12 +49,7 @@ from .spec import (
     PhiSpec,
     PlatformSpec,
 )
-from .topology import (
-    PlacementStats,
-    Slot,
-    device_slots,
-    placement_stats,
-)
+from .topology import PlacementStats, Slot, placement_stats
 
 __all__ = [
     "DEVICE_AFFINITIES",
@@ -98,6 +93,5 @@ __all__ = [
     "register_platform",
     "PlacementStats",
     "Slot",
-    "device_slots",
     "placement_stats",
 ]

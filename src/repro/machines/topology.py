@@ -15,8 +15,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .spec import PhiSpec
-
 
 @dataclass(frozen=True, order=True)
 class Slot:
@@ -25,15 +23,6 @@ class Slot:
     socket: int
     core: int
     hwthread: int
-
-
-def device_slots(device: PhiSpec) -> list[Slot]:
-    """Enumerate usable device hardware threads (OS-reserved cores excluded)."""
-    return [
-        Slot(0, c, t)
-        for c in range(device.usable_cores)
-        for t in range(device.threads_per_core)
-    ]
 
 
 @dataclass(frozen=True)

@@ -42,10 +42,10 @@ visible in :func:`transfer_stats` instead.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
+from .. import codec
 from ..dna.workloads import (
     DENSE_MOTIF,
     DNA_PAPER,
@@ -298,14 +298,7 @@ class TransferStats:
     grid_store_hits: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "cold_fits": self.cold_fits,
-            "warm_fits": self.warm_fits,
-            "models_memory_hits": self.models_memory_hits,
-            "models_store_hits": self.models_store_hits,
-            "grids_measured": self.grids_measured,
-            "grid_store_hits": self.grid_store_hits,
-        }
+        return codec.encode(self)
 
 
 _STATS = TransferStats()
@@ -338,10 +331,6 @@ def _grid_signature(space, sizes: tuple[float, ...], fractions: tuple[float, ...
     )
 
 
-def _digest(key: tuple) -> str:
-    return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
-
-
 def training_key_digest(pspec, profile, grid_sig: tuple, seed: int) -> str:
     """Content digest of one measured training grid.
 
@@ -351,7 +340,7 @@ def training_key_digest(pspec, profile, grid_sig: tuple, seed: int) -> str:
     measured quantity yields a fresh digest (structural invalidation,
     like :func:`~repro.service.store.em_key_digest`).
     """
-    return _digest(("training", pspec, profile, grid_sig, seed))
+    return codec.digest(("training", pspec, profile, grid_sig, seed))
 
 
 def models_key_digest(
@@ -363,7 +352,7 @@ def models_key_digest(
     stages)`` — warm digests chain through the donor's digest, so the
     whole training lineage is content-addressed.
     """
-    return _digest(("models", training_digest, plan, factory_params))
+    return codec.digest(("models", training_digest, plan, factory_params))
 
 
 def _factory_params() -> tuple:

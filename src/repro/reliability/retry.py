@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..codec import encode
 from ..machines.simulator import _GOLDEN, _MASK64, _mix64
 
 
@@ -128,18 +129,7 @@ class RetryStats:
         return self.retries == 0 and self.degradations == 0 and self.timeouts == 0
 
     def as_dict(self) -> dict:
-        return {
-            "attempts": self.attempts,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "crashes": self.crashes,
-            "pool_rebuilds": self.pool_rebuilds,
-            "degradations": self.degradations,
-            "events": [
-                {"site": e.site, "reason": e.reason, "detail": e.detail}
-                for e in self.events
-            ],
-        }
+        return encode(self)
 
 
 #: Process-wide aggregate: every dispatch loop merges its ledger here,

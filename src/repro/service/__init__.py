@@ -12,8 +12,9 @@ keeps the hardware saturated across them:
     invalidation, plus full served-scenario results keyed by the
     request cell (see ``docs/result-store.md``).
 ``repro.service.serde``
-    Exact JSON round-trips for the tuning result types — served
-    results stay bit-identical to direct :func:`tune_scenario` calls.
+    Exact JSON round-trips for served cells (through :mod:`repro.codec`)
+    and transfer-learning artifacts — served results stay bit-identical
+    to direct :func:`tune_scenario` calls.
 ``repro.service.protocol``
     The newline-delimited-JSON wire protocol: submit/stats/shutdown
     requests and the per-cell progress event stream.

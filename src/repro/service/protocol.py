@@ -45,7 +45,9 @@ wire-format change — so older clients simply surface the error text.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+
+from ..codec import encode
 
 PROTOCOL_VERSION = 1
 
@@ -72,9 +74,11 @@ class SubmitRequest:
     :func:`~repro.core.campaign.tune_scenario` arguments.  ``client``
     names the quota bucket the evaluations are charged to.
 
-    ``derived`` carries runtime-registered workload specs (encoded via
-    :func:`~repro.service.serde.encode_workload_spec`) that the server
-    registers *before* resolving cells — how a client submits its own
+    ``derived`` carries runtime-registered workload specs (each the
+    :func:`repro.codec.encode` form of a
+    :class:`~repro.dna.workloads.WorkloadSpec`, rebuilt server-side with
+    ``decode(WorkloadSpec, entry)``) that the server registers *before*
+    resolving cells — how a client submits its own
     ingested ``fasta:*`` workloads to a server that has never seen the
     underlying FASTA.  A derived entry conflicting with the server's
     registry rejects the whole request as ``bad-request``.
@@ -102,12 +106,7 @@ class SubmitRequest:
     derived: tuple[dict, ...] = ()
 
     def to_message(self) -> dict:
-        message = {"op": "submit", "version": PROTOCOL_VERSION}
-        message.update(asdict(self))
-        message["workloads"] = list(self.workloads)
-        message["platforms"] = list(self.platforms)
-        message["derived"] = [dict(spec) for spec in self.derived]
-        return message
+        return {"op": "submit", "version": PROTOCOL_VERSION, **encode(self)}
 
     @classmethod
     def from_message(cls, message: dict) -> "SubmitRequest":

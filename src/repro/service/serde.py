@@ -1,21 +1,16 @@
-"""Exact JSON round-trips for the tuning result types.
+"""JSON forms of the served result types.
 
 The service's whole value proposition rests on one invariant: a result
 served from the store (or over the wire) is **bit-identical** to the
-same computation run directly.  Python's ``json`` module already
-guarantees exact float round-trips (``repr`` emits the shortest string
-that parses back to the same IEEE-754 double), so these encoders only
-need to restore the *structure* faithfully — tuples back from JSON
-arrays, frozen dataclasses rebuilt field by field — after which plain
-dataclass equality (``==``) is exact-value equality.
+same computation run directly.  Records — configurations, objective
+values, EM references, campaign reports with their portfolio ledgers,
+workload specs — go through the field-driven :mod:`repro.codec`
+(``encode(obj)`` / ``decode(cls, data)``), which rebuilds tuples and
+frozen dataclasses from their annotations, so plain dataclass equality
+(``==``) after a round trip is exact-value equality.
 
-Covered types: :class:`~repro.core.params.SystemConfiguration` /
-:class:`~repro.core.params.DeviceSlot`, :class:`~repro.core.energy.Energy`,
-:class:`~repro.core.methods.MethodResult` (EM references; annealing
-traces are search-internal and never cached), the campaign report
-types :class:`~repro.core.campaign.PlatformTuneReport` /
-:class:`~repro.core.campaign.ScenarioReport` (including an attached
-:class:`~repro.core.portfolio.PortfolioResult` ledger), and transfer
+This module keeps the two scenario entry points the store and the
+server call (named layers of the benchmark tracer) and transfer
 learning's array artifacts — measured training grids and fitted model
 pairs — which travel as base64-wrapped compressed ``.npz`` blobs
 (binary float round-trips, hence bit-identical predictions).
@@ -28,240 +23,17 @@ import io
 
 import numpy as np
 
-from ..core.campaign import PlatformTuneReport, ScenarioReport
-from ..core.energy import Energy
-from ..core.methods import MethodResult
-from ..core.params import DeviceSlot, SystemConfiguration
-from ..core.portfolio import PortfolioResult, PortfolioSpec, RungEntry
-from ..dna.workloads import WorkloadSpec
-
-
-def encode_workload_spec(spec: WorkloadSpec) -> dict:
-    """JSON-able form of a workload spec (derived-workload transport).
-
-    Clients ship runtime-registered specs — ingested ``fasta:*``
-    workloads — alongside submits so the server can register them
-    before resolving cells; the round-trip is exact, so the server-side
-    spec equals the client's field for field (and therefore digests
-    identically, see :meth:`~repro.dna.workloads.WorkloadSpec.content_digest`).
-    """
-    return {
-        "name": spec.name,
-        "sequence_mb": spec.sequence_mb,
-        "alphabet_size": spec.alphabet_size,
-        "pattern_lengths": list(spec.pattern_lengths),
-        "match_density": spec.match_density,
-        "state_sharing": spec.state_sharing,
-        "transfer_overlap": spec.transfer_overlap,
-        "description": spec.description,
-    }
-
-
-def decode_workload_spec(data: dict) -> WorkloadSpec:
-    """Rebuild a workload spec; validation reruns in ``__post_init__``."""
-    density = data["match_density"]
-    return WorkloadSpec(
-        name=str(data["name"]),
-        sequence_mb=float(data["sequence_mb"]),
-        alphabet_size=int(data["alphabet_size"]),
-        pattern_lengths=tuple(int(n) for n in data["pattern_lengths"]),
-        match_density=None if density is None else float(density),
-        state_sharing=float(data["state_sharing"]),
-        transfer_overlap=float(data["transfer_overlap"]),
-        description=str(data["description"]),
-    )
-
-
-def encode_config(config: SystemConfiguration) -> dict:
-    """JSON-able form of a system configuration (all N device slots)."""
-    return {
-        "host_threads": config.host_threads,
-        "host_affinity": config.host_affinity,
-        "device_threads": config.device_threads,
-        "device_affinity": config.device_affinity,
-        "host_fraction": config.host_fraction,
-        "extra_devices": [
-            {"threads": d.threads, "affinity": d.affinity, "share": d.share}
-            for d in config.extra_devices
-        ],
-    }
-
-
-def decode_config(data: dict) -> SystemConfiguration:
-    """Rebuild a configuration; validation reruns in ``__post_init__``."""
-    return SystemConfiguration(
-        host_threads=int(data["host_threads"]),
-        host_affinity=data["host_affinity"],
-        device_threads=int(data["device_threads"]),
-        device_affinity=data["device_affinity"],
-        host_fraction=float(data["host_fraction"]),
-        extra_devices=tuple(
-            DeviceSlot(int(d["threads"]), d["affinity"], float(d["share"]))
-            for d in data["extra_devices"]
-        ),
-    )
-
-
-def encode_energy(energy: Energy) -> dict:
-    """JSON-able form of an objective value (per-part breakdown kept)."""
-    return {
-        "t_host": energy.t_host,
-        "t_device": energy.t_device,
-        "t_extra": list(energy.t_extra),
-    }
-
-
-def decode_energy(data: dict) -> Energy:
-    return Energy(
-        t_host=float(data["t_host"]),
-        t_device=float(data["t_device"]),
-        t_extra=tuple(float(t) for t in data["t_extra"]),
-    )
-
-
-def encode_method_result(result: MethodResult) -> dict:
-    """JSON-able form of an EM reference (no annealing trace).
-
-    The store only holds enumeration references, which never carry an
-    annealing trace; refusing the lossy case keeps the bit-identity
-    guarantee honest instead of silently dropping the trace.
-    """
-    if result.annealing is not None:
-        raise ValueError(
-            "only enumeration results are storable; annealing traces are "
-            "search-internal and not serialized"
-        )
-    return {
-        "method": result.method,
-        "config": encode_config(result.config),
-        "measured": encode_energy(result.measured),
-        "search_energy": encode_energy(result.search_energy),
-        "experiments": result.experiments,
-        "search_evaluations": result.search_evaluations,
-    }
-
-
-def decode_method_result(data: dict) -> MethodResult:
-    return MethodResult(
-        method=data["method"],
-        config=decode_config(data["config"]),
-        measured=decode_energy(data["measured"]),
-        search_energy=decode_energy(data["search_energy"]),
-        experiments=int(data["experiments"]),
-        search_evaluations=int(data["search_evaluations"]),
-    )
-
-
-def encode_portfolio(result: PortfolioResult) -> dict:
-    """JSON-able form of a successive-halving race ledger."""
-    return {
-        "spec": {
-            "rung0": result.spec.rung0,
-            "eta": result.spec.eta,
-            "entrants": list(result.spec.entrants),
-        },
-        "winner": result.winner,
-        "entries": [
-            {
-                "method": e.method,
-                "rung": e.rung,
-                "budget": e.budget,
-                "value": e.value,
-                "eliminated": e.eliminated,
-            }
-            for e in result.entries
-        ],
-        "experiments": result.experiments,
-        "search_evaluations": result.search_evaluations,
-    }
-
-
-def decode_portfolio(data: dict) -> PortfolioResult:
-    spec = data["spec"]
-    return PortfolioResult(
-        spec=PortfolioSpec(
-            rung0=int(spec["rung0"]),
-            eta=int(spec["eta"]),
-            entrants=tuple(str(e) for e in spec["entrants"]),
-        ),
-        winner=str(data["winner"]),
-        entries=tuple(
-            RungEntry(
-                method=str(e["method"]),
-                rung=int(e["rung"]),
-                budget=int(e["budget"]),
-                value=float(e["value"]),
-                eliminated=bool(e["eliminated"]),
-            )
-            for e in data["entries"]
-        ),
-        experiments=int(data["experiments"]),
-        search_evaluations=int(data["search_evaluations"]),
-    )
-
-
-def encode_platform_report(report: PlatformTuneReport) -> dict:
-    """JSON-able form of one platform's campaign row."""
-    return {
-        "platform": report.platform,
-        "description": report.description,
-        "method": report.method,
-        "config": encode_config(report.config),
-        "measured_time": report.measured_time,
-        "em_time": report.em_time,
-        "em_config": encode_config(report.em_config),
-        "host_only_time": report.host_only_time,
-        "device_only_time": report.device_only_time,
-        "experiments": report.experiments,
-        "search_evaluations": report.search_evaluations,
-        "space_size": report.space_size,
-        "engine_batches": report.engine_batches,
-        "engine_cache_hits": report.engine_cache_hits,
-        "training_experiments": report.training_experiments,
-        "portfolio": (
-            None if report.portfolio is None else encode_portfolio(report.portfolio)
-        ),
-    }
-
-
-def decode_platform_report(data: dict) -> PlatformTuneReport:
-    device_only = data["device_only_time"]
-    portfolio = data["portfolio"]
-    return PlatformTuneReport(
-        platform=data["platform"],
-        description=data["description"],
-        method=data["method"],
-        config=decode_config(data["config"]),
-        measured_time=float(data["measured_time"]),
-        em_time=float(data["em_time"]),
-        em_config=decode_config(data["em_config"]),
-        host_only_time=float(data["host_only_time"]),
-        device_only_time=None if device_only is None else float(device_only),
-        experiments=int(data["experiments"]),
-        search_evaluations=int(data["search_evaluations"]),
-        space_size=int(data["space_size"]),
-        engine_batches=int(data["engine_batches"]),
-        engine_cache_hits=int(data["engine_cache_hits"]),
-        training_experiments=int(data["training_experiments"]),
-        portfolio=None if portfolio is None else decode_portfolio(portfolio),
-    )
+from ..codec import decode, encode
+from ..core.campaign import ScenarioReport
 
 
 def encode_scenario(report: ScenarioReport) -> dict:
     """JSON-able form of one served (workload, platform) cell."""
-    return {
-        "workload": report.workload,
-        "size_mb": report.size_mb,
-        "report": encode_platform_report(report.report),
-    }
+    return encode(report)
 
 
 def decode_scenario(data: dict) -> ScenarioReport:
-    return ScenarioReport(
-        workload=data["workload"],
-        size_mb=float(data["size_mb"]),
-        report=decode_platform_report(data["report"]),
-    )
+    return decode(ScenarioReport, data)
 
 
 # -- transfer-learning artifacts (training grids, model pairs) ----------------

@@ -65,11 +65,12 @@ from repro.reliability import (
     reliability_stats,
 )
 
+from ..codec import decode, encode
 from ..core import campaign as campaign_mod
 from ..core.options import TuningOptions
 from ..core.pool import pool_executor
 from ..core.portfolio import PortfolioSpec
-from ..dna.workloads import get_workload, register_workload
+from ..dna.workloads import WorkloadSpec, get_workload, register_workload
 from ..machines.registry import resolve_platform
 from .protocol import (
     DEFAULT_HOST,
@@ -89,7 +90,7 @@ from .protocol import (
     rejected_event,
     stats_event,
 )
-from .serde import decode_workload_spec, encode_scenario
+from .serde import encode_scenario
 from .store import CellKey, ResultStore
 
 
@@ -138,20 +139,7 @@ class ServiceStats:
     client_spent: dict[str, int] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "cells": self.cells,
-            "store_hits": self.store_hits,
-            "coalesced": self.coalesced,
-            "evaluated": self.evaluated,
-            "failed": self.failed,
-            "rejected_quota": self.rejected_quota,
-            "rejected_saturated": self.rejected_saturated,
-            "eval_retries": self.eval_retries,
-            "eval_timeouts": self.eval_timeouts,
-            "executor_rebuilds": self.executor_rebuilds,
-            "client_spent": dict(self.client_spent),
-        }
+        return encode(self)
 
 
 class CampaignServer:
@@ -311,7 +299,7 @@ class CampaignServer:
             # and rejects the whole request below.  Identical re-submits
             # are no-ops, matching the registry's idempotence rule.
             for entry in request.derived:
-                register_workload(decode_workload_spec(entry))
+                register_workload(decode(WorkloadSpec, entry))
             options = TuningOptions(
                 engine=request.engine,
                 batch_size=request.batch_size,

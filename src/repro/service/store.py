@@ -64,7 +64,6 @@ durability.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import threading
@@ -82,17 +81,13 @@ from repro.reliability import (
     perform_action,
 )
 
+from .. import codec
 from ..core.campaign import ML_METHODS, ScenarioReport
 from ..core.methods import METHOD_PROPERTIES, MethodResult, check_size_mb
 from ..core.options import TuningOptions
 from ..dna.workloads import get_workload, is_derived_key
 from ..machines.registry import resolve_platform
-from .serde import (
-    decode_method_result,
-    decode_scenario,
-    encode_method_result,
-    encode_scenario,
-)
+from .serde import decode_scenario, encode_scenario
 
 #: Bump on any incompatible change to record layout or key derivation;
 #: readers skip records from other versions (versioned invalidation).
@@ -119,7 +114,7 @@ def em_key_digest(key: tuple) -> str:
     hashing it gives equal digests for equal cells and fresh digests
     whenever anything that could change the result changes.
     """
-    return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
+    return codec.digest(key)
 
 
 @dataclass(frozen=True)
@@ -219,7 +214,7 @@ class CellKey:
         )
 
     def digest(self) -> str:
-        return hashlib.sha256(repr(self).encode("utf-8")).hexdigest()
+        return codec.digest(self)
 
     def describe(self) -> str:
         """Short human form, e.g. ``SAM short-read@emil 300MB seed=0``."""
@@ -247,16 +242,7 @@ class StoreStats:
     write_retries: int = 0  # failed appends retried under the policy
 
     def as_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "duplicates": self.duplicates,
-            "invalidated": self.invalidated,
-            "corrupt": self.corrupt,
-            "quarantined": self.quarantined,
-            "write_retries": self.write_retries,
-        }
+        return codec.encode(self)
 
 
 @dataclass(frozen=True)
@@ -501,7 +487,7 @@ class ResultStore:
     def get_em(self, key: tuple) -> MethodResult | None:
         """The stored EM reference for a campaign cache key, if any."""
         payload = self._get(KIND_EM, em_key_digest(key))
-        return None if payload is None else decode_method_result(payload)
+        return None if payload is None else codec.decode(MethodResult, payload)
 
     def put_em(self, key: tuple, result: MethodResult) -> bool:
         """Persist one EM reference; False when the key already exists."""
@@ -513,9 +499,7 @@ class ResultStore:
             "seed": seed,
             "refine": refine,
         }
-        return self._put(
-            KIND_EM, em_key_digest(key), meta, encode_method_result(result)
-        )
+        return self._put(KIND_EM, em_key_digest(key), meta, codec.encode(result))
 
     # -- served scenario cells -----------------------------------------------
 

@@ -9,7 +9,7 @@ import pytest
 from repro.core import TuningOptions, campaign, tune_matrix, tune_scenario
 from repro.core.campaign import MatrixResult
 from repro.dna.workloads import SHORT_READ, get_workload
-from repro.service.serde import encode_platform_report
+from repro.codec import encode as encode_platform_report
 
 WORKLOADS = ("dna-paper", "short-read", "dense-motif")
 PLATFORMS = ("emil", "fathost", "slowlink")

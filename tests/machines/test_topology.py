@@ -1,14 +1,6 @@
-"""Slot enumeration and placement statistics."""
+"""Placement statistics of concrete slot lists."""
 
-from repro.machines import EMIL, Slot, device_slots, placement_stats
-
-
-class TestEnumeration:
-    def test_device_slot_count_excludes_os_core(self):
-        assert len(device_slots(EMIL.device)) == 240
-
-    def test_device_slots_are_socket_zero(self):
-        assert all(s.socket == 0 for s in device_slots(EMIL.device))
+from repro.machines import Slot, placement_stats
 
 
 class TestPlacementStats:

@@ -6,18 +6,19 @@ specs in the submit itself (``SubmitRequest.derived``).
 """
 
 import asyncio
+from functools import partial
 
+from repro.codec import decode
+from repro.codec import encode as encode_workload_spec
 from repro.dna import ingest_fasta_string, register_ingest
-from repro.dna.workloads import WORKLOADS
+from repro.dna.workloads import WORKLOADS, WorkloadSpec
 from repro.service import CampaignServer, ResultStore, ServiceClient, SubmitRequest
 from repro.service.client import cell_results
-from repro.service.serde import (
-    decode_workload_spec,
-    encode_workload_spec,
-)
 from repro.service.store import CellKey
 
 import pytest
+
+decode_workload_spec = partial(decode, WorkloadSpec)
 
 FASTA = """\
 >rec1

@@ -1,4 +1,4 @@
-"""Exact JSON round-trips of the result types (service/serde.py).
+"""Exact JSON round-trips of the result types (repro/codec.py, service/serde.py).
 
 Every case goes through ``json.dumps``/``json.loads`` as the store and
 the wire do, then compares with ``==``: after a round-trip the rebuilt
@@ -6,31 +6,28 @@ value must equal the original field for field, floats bit for bit.
 """
 
 import json
+from functools import partial
 
 import pytest
 
+from repro.codec import decode, encode
 from repro.core.campaign import PlatformTuneReport, ScenarioReport
 from repro.core.energy import Energy
 from repro.core.methods import MethodResult
 from repro.core.params import DeviceSlot, SystemConfiguration
 from repro.core.portfolio import PortfolioResult, PortfolioSpec, RungEntry
-from repro.dna.workloads import get_workload, workload_names
-from repro.service.serde import (
-    decode_config,
-    decode_energy,
-    decode_method_result,
-    decode_platform_report,
-    decode_portfolio,
-    decode_scenario,
-    decode_workload_spec,
-    encode_config,
-    encode_energy,
-    encode_method_result,
-    encode_platform_report,
-    encode_portfolio,
-    encode_scenario,
-    encode_workload_spec,
-)
+from repro.dna.workloads import WorkloadSpec, get_workload, workload_names
+from repro.service.serde import decode_scenario, encode_scenario
+
+#: The codec under the per-type names these round trips were written for.
+decode_config = partial(decode, SystemConfiguration)
+decode_energy = partial(decode, Energy)
+decode_method_result = partial(decode, MethodResult)
+decode_platform_report = partial(decode, PlatformTuneReport)
+decode_portfolio = partial(decode, PortfolioResult)
+decode_workload_spec = partial(decode, WorkloadSpec)
+encode_config = encode_energy = encode_method_result = encode
+encode_platform_report = encode_portfolio = encode_workload_spec = encode
 
 ONE_DEVICE = SystemConfiguration(24, "scatter", 180, "balanced", 37.5)
 TWO_DEVICES = SystemConfiguration(

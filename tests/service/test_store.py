@@ -1,9 +1,10 @@
-"""The durable result store (service/store.py, service/serde.py)."""
+"""The durable result store (service/store.py, repro/codec.py)."""
 
 import threading
 
 import pytest
 
+from repro.codec import encode as encode_method_result
 from repro.core.campaign import _em_cache_key, tune_scenario
 from repro.core.methods import run_method
 from repro.core.options import TuningOptions
@@ -13,7 +14,6 @@ from repro.dna.workloads import get_workload
 from repro.machines import get_platform
 from repro.machines.simulator import PlatformSimulator
 from repro.service import CellKey, ResultStore
-from repro.service.serde import encode_method_result
 from repro.service.store import STORE_SCHEMA_VERSION, em_key_digest
 
 SIZE_MB = 600.0

@@ -69,7 +69,6 @@ ALLOW: dict[str, str] = {
     "repro.reliability.faults:FaultPlan.adversarial_service": "chaos-suite fault plan",
     "repro.ml.metrics:ErrorHistogram.n_predictions": "public histogram total",
     "repro.machines.perfmodel:_SidePerformanceModel.rate_mbs": "public perf-model scan rate",
-    "repro.service.serde:encode_workload_spec": "client half of the derived-spec codec",
 }
 
 
