@@ -263,11 +263,12 @@ def _print_accuracy_table(t, title: str) -> None:
 
 def _run_tune(platform, workload, args, engine) -> int:
     """One end-to-end tuning run: method + engine -> suggested config."""
-    from .core.methods import check_size_mb, run_method
+    from .core.methods import check_iterations, check_size_mb, run_method
     from .core.tuner import WorkDistributionTuner
 
     method = (args.method or "SAML").upper()
     try:
+        check_iterations(args.iterations)
         tuner = WorkDistributionTuner(platform, workload, seed=args.seed)
         ml = None
         if method in ("EML", "SAML"):

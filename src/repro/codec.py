@@ -6,10 +6,8 @@ ledgers, workload specs, counter ledgers — as JSON objects.  Every one
 of them is a dataclass of scalars, tuples and nested dataclasses, so
 one rule encodes them all:
 
-- a dataclass becomes ``{field name: encoded value}`` in declaration
-  order (a field marked ``metadata={"encode": False}`` is left out, and
-  an instance holding a non-default value there is refused rather than
-  silently truncated);
+- a dataclass becomes ``{field name: encoded value}`` for every field,
+  in declaration order;
 - a tuple or list becomes a list, a dict is copied key by key;
 - a scalar passes through — ``json`` round-trips floats exactly, since
   ``repr`` emits the shortest string that parses back to the same
@@ -58,20 +56,10 @@ def encode(obj: Any) -> Any:
         return [encode(value) for value in obj]
     if isinstance(obj, dict):
         return {key: encode(value) for key, value in obj.items()}
-    plan = _encode_plan(type(obj))
-    if plan is None:
+    names = _field_names(type(obj))
+    if names is None:
         return obj
-    out = {}
-    for name, kept, default in plan:
-        value = getattr(obj, name)
-        if kept:
-            out[name] = encode(value)
-        elif value != default:
-            raise ValueError(
-                f"{type(obj).__name__}.{name} is not storable: the field is "
-                "left out of the encoding, so only its default round-trips"
-            )
-    return out
+    return {name: encode(getattr(obj, name)) for name in names}
 
 
 def decode(cls: type, data: dict) -> Any:
@@ -80,26 +68,19 @@ def decode(cls: type, data: dict) -> Any:
 
 
 @functools.lru_cache(maxsize=None)
-def _encode_plan(cls: type) -> tuple[tuple[str, bool, Any], ...] | None:
-    """``(name, kept, default)`` per field in declaration order, or
-    ``None`` when ``cls`` is not a dataclass (its values pass through)."""
+def _field_names(cls: type) -> tuple[str, ...] | None:
+    """Field names in declaration order, or ``None`` when ``cls`` is not
+    a dataclass (its values pass through)."""
     if not dataclasses.is_dataclass(cls):
         return None
-    return tuple(
-        (f.name, f.metadata.get("encode", True), f.default)
-        for f in dataclasses.fields(cls)
-    )
+    return tuple(f.name for f in dataclasses.fields(cls))
 
 
 @functools.lru_cache(maxsize=None)
 def _decode_plan(cls: type) -> tuple[tuple[str, Callable[[Any], Any]], ...]:
-    """``(name, decoder)`` per encoded field, in declaration order."""
+    """``(name, decoder)`` per field, in declaration order."""
     hints = typing.get_type_hints(cls)
-    return tuple(
-        (f.name, _decoder(hints[f.name]))
-        for f in dataclasses.fields(cls)
-        if f.metadata.get("encode", True)
-    )
+    return tuple((f.name, _decoder(hints[f.name])) for f in dataclasses.fields(cls))
 
 
 def _decoder(annotation: Any) -> Callable[[Any], Any]:

@@ -8,18 +8,20 @@ The algorithm follows the paper's flowchart exactly:
    (Eq. 4) — at high temperature worse solutions are accepted often,
    which is what lets the search escape local minima;
 4. cool ``T = T * (1 - coolingRate)`` (Eq. 3); stop when ``T`` falls
-   below the stop temperature.
+   below :data:`STOP_TEMPERATURE`.
 
-The iteration budget is controlled through the cooling schedule
-(section IV-C: "We can adjust the number of iterations ... by changing
-the initial temperature, or adjusting the cooling function");
-:func:`cooling_rate_for` computes the rate that yields a wanted budget.
+The iteration budget is the one search knob (section IV-C: "We can
+adjust the number of iterations ... by changing the initial
+temperature, or adjusting the cooling function"): every run names its
+budget, and :func:`cooling_rate_for` derives the rate that spends it.
+A run returns its best configuration and the iterations it took; it
+keeps no per-iteration record.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -27,33 +29,22 @@ import numpy as np
 from .energy import Energy
 from .params import ParameterSpace, SystemConfiguration
 
+#: Temperature below which the schedule stops, in the objective's units
+#: (seconds).  With the default initial temperature of 1 s, ``T`` spans
+#: three decades whatever the iteration budget.
+STOP_TEMPERATURE = 1e-3
 
-def cooling_rate_for(
-    iterations: int, initial_temperature: float, stop_temperature: float
-) -> float:
-    """Cooling rate such that ``T`` decays from initial to stop in exactly
-    ``iterations`` steps of Eq. 3."""
+
+def cooling_rate_for(iterations: int, initial_temperature: float) -> float:
+    """Cooling rate such that ``T`` decays from ``initial_temperature`` to
+    :data:`STOP_TEMPERATURE` in exactly ``iterations`` steps of Eq. 3."""
     if iterations <= 0:
         raise ValueError(f"iterations must be positive, got {iterations}")
-    if not 0 < stop_temperature < initial_temperature:
+    if not 0 < STOP_TEMPERATURE < initial_temperature:
         raise ValueError(
-            "need 0 < stop_temperature < initial_temperature, got "
-            f"{stop_temperature} and {initial_temperature}"
+            f"initial_temperature must exceed {STOP_TEMPERATURE}, got {initial_temperature}"
         )
-    return 1.0 - (stop_temperature / initial_temperature) ** (1.0 / iterations)
-
-
-@dataclass(frozen=True)
-class AnnealingStep:
-    """One iteration of the annealing loop (for convergence plots)."""
-
-    iteration: int
-    temperature: float
-    candidate_energy: float
-    accepted: bool
-    current_energy: float
-    best_energy: float
-    best_config: SystemConfiguration
+    return 1.0 - (STOP_TEMPERATURE / initial_temperature) ** (1.0 / iterations)
 
 
 @dataclass
@@ -63,7 +54,6 @@ class AnnealingResult:
     best_config: SystemConfiguration
     best_energy: Energy
     iterations: int
-    history: list[AnnealingStep] = field(repr=False, default_factory=list)
 
 
 class SimulatedAnnealing:
@@ -73,13 +63,10 @@ class SimulatedAnnealing:
     ----------
     space:
         Configuration space providing ``random_config`` and ``neighbor``.
-    initial_temperature / stop_temperature:
-        Both in the units of the objective (seconds).  The defaults suit
-        objective scales of ~0.1-10 s; pass an explicit ``iterations``
-        to :meth:`run` to fix the budget regardless (the cooling rate is
-        then derived via :func:`cooling_rate_for`).
-    cooling_rate:
-        Eq. 3 rate; ignored when :meth:`run` receives ``iterations``.
+    initial_temperature:
+        In the units of the objective (seconds); must exceed
+        :data:`STOP_TEMPERATURE`.  The default suits objective scales of
+        ~0.1-10 s.
     seed:
         RNG seed (annealing is stochastic; the evaluation averages runs).
     engine:
@@ -95,19 +82,15 @@ class SimulatedAnnealing:
         space: ParameterSpace,
         *,
         initial_temperature: float = 1.0,
-        stop_temperature: float = 1e-3,
-        cooling_rate: float = 0.005,
         seed: int = 0,
         engine=None,
     ) -> None:
-        if not 0 < stop_temperature < initial_temperature:
-            raise ValueError("need 0 < stop_temperature < initial_temperature")
-        if not 0.0 < cooling_rate < 1.0:
-            raise ValueError(f"cooling_rate must be in (0, 1), got {cooling_rate}")
+        if not 0 < STOP_TEMPERATURE < initial_temperature:
+            raise ValueError(
+                f"initial_temperature must exceed {STOP_TEMPERATURE}, got {initial_temperature}"
+            )
         self.space = space
         self.initial_temperature = initial_temperature
-        self.stop_temperature = stop_temperature
-        self.cooling_rate = cooling_rate
         self.seed = seed
         self.engine = engine
 
@@ -115,22 +98,16 @@ class SimulatedAnnealing:
         self,
         evaluate: Callable[[SystemConfiguration], Energy],
         *,
-        iterations: int | None = None,
-        initial: SystemConfiguration | None = None,
-        record_history: bool = True,
+        iterations: int,
     ) -> AnnealingResult:
         """Anneal; ``evaluate`` scores candidates (measurement or ML).
 
-        ``iterations`` fixes the number of candidate evaluations by
-        deriving the cooling rate; otherwise the configured
-        ``cooling_rate`` decides how many iterations occur.
+        ``iterations`` fixes the number of neighbor evaluations (the
+        random initial solution is scored first, so ``evaluate`` runs
+        ``iterations + 1`` times) by deriving the cooling rate.
         """
         rng = np.random.default_rng(self.seed)
-        rate = (
-            cooling_rate_for(iterations, self.initial_temperature, self.stop_temperature)
-            if iterations is not None
-            else self.cooling_rate
-        )
+        rate = cooling_rate_for(iterations, self.initial_temperature)
         if self.engine is not None:
             engine = self.engine
 
@@ -139,48 +116,24 @@ class SimulatedAnnealing:
         else:
             score = evaluate
 
-        current = initial if initial is not None else self.space.random_config(rng)
+        current = self.space.random_config(rng)
         current_energy = score(current)
         best, best_energy = current, current_energy
 
-        history: list[AnnealingStep] = []
         temperature = self.initial_temperature
         it = 0
-        while temperature > self.stop_temperature:
+        while temperature > STOP_TEMPERATURE:
             it += 1
             candidate = self.space.neighbor(current, rng)
             candidate_energy = score(candidate)
-            accepted = False
             delta = candidate_energy.value - current_energy.value
-            if delta < 0:
-                accepted = True
-            else:
-                # Eq. 4: p = exp((E - E') / T); note delta = E' - E >= 0.
-                p = math.exp(-delta / temperature)
-                accepted = rng.random() < p
-            if accepted:
+            # Eq. 4: p = exp((E - E') / T); note delta = E' - E >= 0.
+            if delta < 0 or rng.random() < math.exp(-delta / temperature):
                 current, current_energy = candidate, candidate_energy
                 if current_energy.value < best_energy.value:
                     best, best_energy = current, current_energy
-            if record_history:
-                history.append(
-                    AnnealingStep(
-                        iteration=it,
-                        temperature=temperature,
-                        candidate_energy=candidate_energy.value,
-                        accepted=accepted,
-                        current_energy=current_energy.value,
-                        best_energy=best_energy.value,
-                        best_config=best,
-                    )
-                )
             temperature *= 1.0 - rate  # Eq. 3
-            if iterations is not None and it >= iterations:
+            if it >= iterations:
                 break
 
-        return AnnealingResult(
-            best_config=best,
-            best_energy=best_energy,
-            iterations=it,
-            history=history,
-        )
+        return AnnealingResult(best_config=best, best_energy=best_energy, iterations=it)

@@ -46,7 +46,14 @@ from ..machines.perfmodel import DNA_SCAN, WorkloadProfile
 from ..machines.registry import get_platform, platform_names, resolve_platform
 from ..machines.simulator import PlatformSimulator
 from ..machines.spec import PlatformSpec
-from .methods import METHOD_PROPERTIES, baseline_times, check_size_mb, run_em, run_method
+from .methods import (
+    METHOD_PROPERTIES,
+    baseline_times,
+    check_iterations,
+    check_size_mb,
+    run_em,
+    run_method,
+)
 from .options import TuningOptions
 from .portfolio import ML_ENTRANTS, PortfolioResult
 from .params import SystemConfiguration, cell_space
@@ -311,6 +318,7 @@ def tune_platform(
     :meth:`~repro.core.options.TuningOptions.for_cell` so cell fan-out
     never nests pools).
     """
+    check_iterations(iterations)
     check_size_mb(size_mb)
     opts = options or TuningOptions()
     spec = resolve_platform(platform)

@@ -82,11 +82,10 @@ def enumerate_best(
     evaluator: ConfigurationEvaluator,
     size_mb: float,
     *,
-    keep_all: bool = False,
     engine=None,
     batch_size: int = 512,
-) -> EnumerationResult | tuple[EnumerationResult, list[tuple[SystemConfiguration, Energy]]]:
-    """Score every configuration; return the best (optionally all).
+) -> EnumerationResult:
+    """Score every configuration; return the best.
 
     Ties break toward the earlier configuration in Table I order, making
     the result deterministic.  With an ``engine`` the walk proceeds in
@@ -97,21 +96,15 @@ def enumerate_best(
     """
     best_config: SystemConfiguration | None = None
     best_energy: Energy | None = None
-    all_rows: list[tuple[SystemConfiguration, Energy]] = []
     count = 0
     for config, energy in _scored_configs(
         space, evaluator, size_mb, engine=engine, batch_size=batch_size
     ):
         count += 1
-        if keep_all:
-            all_rows.append((config, energy))
         if best_energy is None or energy.value < best_energy.value:
             best_config, best_energy = config, energy
     assert best_config is not None and best_energy is not None
-    result = EnumerationResult(best_config, best_energy, count)
-    if keep_all:
-        return result, all_rows
-    return result
+    return EnumerationResult(best_config, best_energy, count)
 
 
 def _scored_configs(
@@ -415,11 +408,11 @@ def _share_grid_step(share_vectors: Sequence[Sequence[float]]) -> float | None:
 
 
 def neighborhood_share_vectors(
-    center: Sequence[float], step: float, radius: int = REFINE_RADIUS
+    center: Sequence[float], step: float
 ) -> tuple[tuple[float, ...], ...]:
     """Share vectors on the ``step`` grid near ``center``, lexicographic.
 
-    Every component stays within ``radius`` grid steps of the center's
+    Every component stays within :data:`REFINE_RADIUS` grid steps of the center's
     (grid-snapped) component and the vector sums to exactly 100.  The
     center itself is included whenever it lies on the grid; when it does
     not (a snapped level after the schedule clamps to the target step),
@@ -435,8 +428,8 @@ def neighborhood_share_vectors(
     hi: list[int] = []
     for share in center:
         units = share / step
-        lo.append(max(0, math.floor(units) - radius))
-        hi.append(min(total, math.ceil(units) + radius))
+        lo.append(max(0, math.floor(units) - REFINE_RADIUS))
+        hi.append(min(total, math.ceil(units) + REFINE_RADIUS))
     n = len(lo)
     lo_suffix = [0] * (n + 1)
     hi_suffix = [0] * (n + 1)
@@ -633,7 +626,6 @@ def enumerate_best_separable_ml(
     refine: float | None = None,
     processes: int | None = None,
     start_method: str | None = None,
-    coarse: EnumerationResult | None = None,
 ) -> EnumerationResult:
     """Separable EML walk for multi-device spaces (predictions, no cost).
 
@@ -660,5 +652,4 @@ def enumerate_best_separable_ml(
         start_method=start_method,
         worker=_ml_shard_worker,
         job_payload=(ml,),
-        coarse=coarse,
     )

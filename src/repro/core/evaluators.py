@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from ..machines.simulator import PlatformSimulator
-from ..ml.dataset import Standardizer, encode_device_row, encode_host_row
+from ..ml.dataset import encode_device_row, encode_host_row
 from ..ml.validation import Regressor
 from .energy import Energy
 from .params import ConfigTable, SystemConfiguration
@@ -138,24 +138,15 @@ class MLEvaluator:
     """Score configurations with the trained performance predictors.
 
     ``host_model`` / ``device_model`` predict the execution time of one
-    *side* from ``(threads, affinity one-hot, megabytes)`` — the features
-    of Fig. 4 — after the standardization fitted on the training data.
-    A zero-share side costs exactly 0 (the runtime skips it), mirroring
-    the measurement path.
+    *side* from its raw ``(threads, affinity one-hot, megabytes)`` row —
+    the features of Fig. 4 (tree ensembles split on raw values, so no
+    normalization precedes them).  A zero-share side costs exactly 0
+    (the runtime skips it), mirroring the measurement path.
     """
 
-    def __init__(
-        self,
-        host_model: Regressor,
-        device_model: Regressor,
-        *,
-        host_scaler: Standardizer | None = None,
-        device_scaler: Standardizer | None = None,
-    ) -> None:
+    def __init__(self, host_model: Regressor, device_model: Regressor) -> None:
         self.host_model = host_model
         self.device_model = device_model
-        self.host_scaler = host_scaler
-        self.device_scaler = device_scaler
         self._evaluations = 0
         # SA revisits configurations; predictions are deterministic, so
         # per-side memoization saves most of the ensemble traversals.
@@ -166,25 +157,16 @@ class MLEvaluator:
         """Number of predictions made (not experiments — predictions are free)."""
         return self._evaluations
 
-    def _predict(
-        self,
-        model: Regressor,
-        scaler: Standardizer | None,
-        row: list[float],
-    ) -> float:
+    def _predict(self, model: Regressor, row: list[float]) -> float:
         key = (id(model), tuple(row))
         hit = self._side_cache.get(key)
         if hit is not None:
             return hit
-        if scaler is not None:
-            x = scaler.transform(np.array([row]))[0]
-        else:
-            x = row
         predict_one = getattr(model, "predict_one", None)
-        if predict_one is not None and scaler is None:
+        if predict_one is not None:
             raw = predict_one(row)
         else:
-            raw = float(model.predict(np.atleast_2d(np.asarray(x, dtype=np.float64)))[0])
+            raw = float(model.predict(np.atleast_2d(np.asarray(row, dtype=np.float64)))[0])
         # Trees can extrapolate to slightly negative residual sums; a
         # predicted time below zero is physically meaningless.
         value = float(max(raw, 1e-6))
@@ -204,30 +186,20 @@ class MLEvaluator:
         t_host = (
             self._predict(
                 self.host_model,
-                self.host_scaler,
                 encode_host_row(config.host_threads, config.host_affinity, host_mb),
             )
             if host_mb > 0
             else 0.0
         )
         t_devices = [
-            self._predict(
-                self.device_model,
-                self.device_scaler,
-                encode_device_row(slot.threads, slot.affinity, mb),
-            )
+            self._predict(self.device_model, encode_device_row(slot.threads, slot.affinity, mb))
             if mb > 0
             else 0.0
             for slot, mb in zip(config.device_slots, device_mbs)
         ]
         return Energy(t_host, t_devices[0], tuple(t_devices[1:]))
 
-    def _predict_many(
-        self,
-        model: Regressor,
-        scaler: Standardizer | None,
-        rows: list[list[float]],
-    ) -> list[float]:
+    def _predict_many(self, model: Regressor, rows: list[list[float]]) -> list[float]:
         """Predict many rows with one ensemble traversal for all misses.
 
         Bit-identical to calling :meth:`_predict` per row: the tree
@@ -246,10 +218,7 @@ class MLEvaluator:
                 miss_pos.append(j)
                 miss_rows.append(row)
         if miss_rows:
-            X = np.asarray(miss_rows, dtype=np.float64)
-            if scaler is not None:
-                X = scaler.transform(X)
-            raw = model.predict(X)
+            raw = model.predict(np.asarray(miss_rows, dtype=np.float64))
             for j, r in zip(miss_pos, raw):
                 value = float(max(float(r), 1e-6))
                 self._side_cache[(id(model), tuple(rows[j]))] = value
@@ -265,13 +234,13 @@ class MLEvaluator:
         non-negativity clamp as the scalar path.
         """
         if side == "host":
-            model, scaler, encode = self.host_model, self.host_scaler, encode_host_row
+            model, encode = self.host_model, encode_host_row
         else:
-            model, scaler, encode = self.device_model, self.device_scaler, encode_device_row
+            model, encode = self.device_model, encode_device_row
         rows = [
             encode(int(t), a, float(m)) for t, a, m in zip(threads, affinities, mb)
         ]
-        return np.asarray(self._predict_many(model, scaler, rows))
+        return np.asarray(self._predict_many(model, rows))
 
     def evaluate_batch(
         self, configs: Sequence[SystemConfiguration], size_mb: float
@@ -308,13 +277,13 @@ class MLEvaluator:
                     )
         if host_rows:
             for i, value in zip(
-                host_pos, self._predict_many(self.host_model, self.host_scaler, host_rows)
+                host_pos, self._predict_many(self.host_model, host_rows)
             ):
                 t_host[i] = value
         if device_rows:
             for (k, i), value in zip(
                 device_pos,
-                self._predict_many(self.device_model, self.device_scaler, device_rows),
+                self._predict_many(self.device_model, device_rows),
             ):
                 t_parts[k][i] = value
         return [

@@ -14,10 +14,10 @@ measured values", section IV-C).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..machines.simulator import PlatformSimulator
-from .annealing import AnnealingResult, SimulatedAnnealing
+from .annealing import SimulatedAnnealing
 from .energy import Energy
 from .engine import EvaluationEngine
 from .enumeration import (
@@ -75,10 +75,6 @@ class MethodResult:
     search_energy: Energy  # energy the search itself saw (may be predicted)
     experiments: int  # timed experiments consumed by the search
     search_evaluations: int  # configurations scored during the search
-    #: Search-internal trace of the annealing methods.  Only enumeration
-    #: references (no trace) are storable: the codec leaves this field
-    #: out and refuses a result that carries one.
-    annealing: AnnealingResult | None = field(default=None, metadata={"encode": False})
 
     @property
     def measured_time(self) -> float:
@@ -91,6 +87,13 @@ def check_size_mb(size_mb: float) -> None:
     entry points call this before any work reaches the caches or the store."""
     if not (math.isfinite(size_mb) and size_mb > 0):
         raise ValueError(f"size_mb must be a positive finite number, got {size_mb!r}")
+
+
+def check_iterations(iterations: int) -> None:
+    """Reject a search budget no method can spend (below one iteration);
+    entry points call this first, before any work reaches the caches."""
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations!r}")
 
 
 def baseline_times(
@@ -121,8 +124,6 @@ def run_em(
     sim: PlatformSimulator,
     size_mb: float,
     *,
-    separable_fast_path: bool = True,
-    engine: EvaluationEngine | None = None,
     shards: int = 1,
     refine: float | None = None,
     processes: int | None = None,
@@ -131,29 +132,25 @@ def run_em(
 ) -> MethodResult:
     """Enumeration + Measurements: certain optimum, maximal effort.
 
-    The default separable fast path computes the per-side measurement
-    grids directly and never consults ``engine`` (its stats stay at
-    zero for EM); the engine only backs the faithful per-configuration
-    walk (``separable_fast_path=False``).  ``shards`` / ``refine`` /
-    ``processes`` / ``start_method`` / ``coarse`` are the multi-device
-    scale-out knobs of
-    :func:`~repro.core.enumeration.enumerate_best_separable`
-    (no-ops on single-device spaces and on the faithful walk).
+    The separable walk computes the per-side measurement grids directly
+    (no evaluation engine is consulted, so engine statistics stay at
+    zero for EM); it finds the optimum a per-configuration walk over
+    :class:`~repro.core.evaluators.MeasurementEvaluator` finds.
+    ``shards`` / ``refine`` / ``processes`` / ``start_method`` /
+    ``coarse`` are the multi-device scale-out knobs of
+    :func:`~repro.core.enumeration.enumerate_best_separable` (no-ops on
+    single-device spaces).
     """
-    if separable_fast_path:
-        res = enumerate_best_separable(
-            space,
-            sim,
-            size_mb,
-            shards=shards,
-            refine=refine,
-            processes=processes,
-            start_method=start_method,
-            coarse=coarse,
-        )
-    else:
-        evaluator = MeasurementEvaluator(sim)
-        res = enumerate_best(space, evaluator, size_mb, engine=engine)  # type: ignore[assignment]
+    res = enumerate_best_separable(
+        space,
+        sim,
+        size_mb,
+        shards=shards,
+        refine=refine,
+        processes=processes,
+        start_method=start_method,
+        coarse=coarse,
+    )
     return MethodResult(
         method="EM",
         config=res.best_config,
@@ -232,7 +229,6 @@ def run_sam(
         search_energy=run.best_energy,
         experiments=evaluator.evaluations,
         search_evaluations=run.iterations + 1,  # +1 for the initial solution
-        annealing=run,
     )
 
 
@@ -264,7 +260,6 @@ def run_saml(
         search_energy=run.best_energy,
         experiments=1,
         search_evaluations=run.iterations + 1,
-        annealing=run,
     )
 
 
@@ -297,7 +292,6 @@ def run_method(
             space,
             sim,
             size_mb,
-            engine=engine,
             shards=shards,
             refine=refine,
             processes=processes,

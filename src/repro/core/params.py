@@ -502,16 +502,16 @@ class ConfigTable:
 
 
 #: Reference configurations used as baselines throughout the evaluation.
-def host_only_config(threads: int = 48, affinity: str = "scatter") -> SystemConfiguration:
-    """All work on the host (paper's CPU-only baseline uses 48 threads)."""
-    return SystemConfiguration(threads, affinity, DEVICE_THREADS[-1], "balanced", 100.0)
+def host_only_config(threads: int = 48) -> SystemConfiguration:
+    """All work on ``threads`` scatter-placed host threads (the paper's
+    CPU-only baseline uses 48)."""
+    return SystemConfiguration(threads, "scatter", DEVICE_THREADS[-1], "balanced", 100.0)
 
 
-def device_only_config(
-    threads: int = 240, affinity: str = "balanced"
-) -> SystemConfiguration:
-    """All work on the device (paper's accelerator-only baseline, 240 threads)."""
-    return SystemConfiguration(EVAL_HOST_THREADS[-1], "scatter", threads, affinity, 0.0)
+def device_only_config(threads: int = 240) -> SystemConfiguration:
+    """All work on ``threads`` balanced device threads (the paper's
+    accelerator-only baseline uses 240)."""
+    return SystemConfiguration(EVAL_HOST_THREADS[-1], "scatter", threads, "balanced", 0.0)
 
 
 class ParameterSpace:

@@ -49,7 +49,7 @@ from .evaluators import (
     MeasurementEvaluator,
     MLEvaluator,
 )
-from .methods import MethodResult
+from .methods import MethodResult, check_iterations
 from .params import ParameterSpace, SystemConfiguration
 
 #: Catalogue order: also the deterministic tie-break order at each rung.
@@ -229,7 +229,7 @@ def _run_entrant(
             else EnergyObjective(ml, size_mb)
         )
         sa = SimulatedAnnealing(space, seed=seed)
-        run = sa.run(objective, iterations=max(1, budget - 1), record_history=False)
+        run = sa.run(objective, iterations=max(1, budget - 1))
         return run.best_config, run.iterations + 1
     from ..search import (
         AntColony,
@@ -273,8 +273,7 @@ def run_portfolio(
     ``"PORTFOLIO[<winner>]"``, configuration = best measured anywhere in
     the race) plus the :class:`PortfolioResult` ledger.
     """
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    check_iterations(iterations)
     alive = [e for e in spec.entrants if ml is not None or e not in ML_ENTRANTS]
     if not alive:
         raise ValueError(

@@ -21,7 +21,7 @@ from ..machines.registry import get_platform
 from ..machines.simulator import PlatformSimulator
 from ..machines.spec import EMIL, PlatformSpec
 from .energy import Energy
-from .methods import MethodResult, baseline_times, check_size_mb, run_method
+from .methods import MethodResult, baseline_times, check_iterations, check_size_mb, run_method
 from .options import TuningOptions
 from .params import ParameterSpace, SystemConfiguration, cell_space
 from .training import TrainedModels, space_training_data, training_sizes_for
@@ -137,7 +137,6 @@ class WorkDistributionTuner:
         *,
         method: str = "SAML",
         iterations: int = 1000,
-        seed: int | None = None,
         options: TuningOptions | None = None,
     ) -> TuningOutcome:
         """Suggest a configuration for an input of ``size_mb`` megabytes.
@@ -157,6 +156,7 @@ class WorkDistributionTuner:
         :func:`~repro.core.enumeration.enumerate_best_separable`);
         annealing methods and single-device spaces ignore them.
         """
+        check_iterations(iterations)
         check_size_mb(size_mb)
         opts = options or TuningOptions(engine=None)
         ml = None
@@ -169,7 +169,7 @@ class WorkDistributionTuner:
             size_mb,
             ml=ml,
             iterations=iterations,
-            seed=self.seed if seed is None else seed,
+            seed=self.seed,
             engine=opts.engine_instance(),
             shards=opts.shards,
             refine=opts.refine,

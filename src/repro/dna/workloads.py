@@ -155,19 +155,15 @@ class WorkloadSpec:
         motifs: MotifSet,
         *,
         sequence_mb: float = 3170.0,
-        alphabet_size: int = 4,
-        state_sharing: float = 0.0,
-        transfer_overlap: float = 0.6,
         description: str = "",
     ) -> "WorkloadSpec":
-        """Derive a spec from a concrete :class:`~repro.dna.motifs.MotifSet`."""
+        """Derive a DNA-alphabet spec from a concrete
+        :class:`~repro.dna.motifs.MotifSet` (the other fields keep their
+        defaults)."""
         return cls(
             name=name,
             sequence_mb=sequence_mb,
-            alphabet_size=alphabet_size,
             pattern_lengths=tuple(len(p) for p in motifs),
-            state_sharing=state_sharing,
-            transfer_overlap=transfer_overlap,
             description=description,
         )
 

@@ -12,13 +12,15 @@ from typing import Sequence
 
 _MARKERS = "ox+*#@%&"
 
+#: Plot area of :func:`line_plot`, in characters.
+PLOT_WIDTH = 72
+PLOT_HEIGHT = 20
+
 
 def line_plot(
     x: Sequence[float],
     series: dict[str, Sequence[float]],
     *,
-    width: int = 72,
-    height: int = 20,
     title: str | None = None,
     y_label: str = "",
     x_label: str = "",
@@ -31,8 +33,6 @@ def line_plot(
     """
     if not series:
         raise ValueError("need at least one series")
-    if width < 16 or height < 4:
-        raise ValueError("plot area too small")
     for name, ys in series.items():
         if len(ys) != len(x):
             raise ValueError(f"series {name!r} length {len(ys)} != x length {len(x)}")
@@ -45,6 +45,7 @@ def line_plot(
     y_span = (y_max - y_min) or 1.0
     x_span = (x_max - x_min) or 1.0
 
+    width, height = PLOT_WIDTH, PLOT_HEIGHT
     grid = [[" "] * width for _ in range(height)]
     for (name, ys), marker in zip(series.items(), _MARKERS):
         for xv, yv in zip(x, ys):

@@ -48,22 +48,21 @@ def build_context(
     *,
     platform: PlatformSpec = EMIL,
     workload: WorkloadProfile | WorkloadSpec | str = DNA_SCAN,
-    space: ParameterSpace | None = None,
     seed: int = 0,
 ) -> ExperimentContext:
     """Train the cell's models through a tuner (the expensive setup).
 
     The simulator, the space and the trained models are those of
-    ``WorkDistributionTuner(platform, workload, space, seed=seed)``:
-    ``space`` defaults to the cell's fitted configuration space (the
-    paper's Table I space for Emil), and a registered workload name or
+    ``WorkDistributionTuner(platform, workload, seed=seed)``: the space
+    is the cell's fitted configuration space (the paper's Table I space
+    for Emil), and a registered workload name or
     :class:`~repro.dna.workloads.WorkloadSpec` rescales the training
     sizes to its input scale.
     """
     platform.require_device(
         "experiment contexts need both training grids — use the campaign/tune paths"
     )
-    tuner = WorkDistributionTuner(platform, workload, space, seed=seed)
+    tuner = WorkDistributionTuner(platform, workload, seed=seed)
     return ExperimentContext(sim=tuner.sim, models=tuner.train(), space=tuner.space, seed=seed)
 
 

@@ -179,7 +179,7 @@ def study_genome(
         max_fraction_steps=STUDY_FRACTION_STEPS,
     )
 
-    em = run_em(ctx.space, sim, size_mb, engine=engine)
+    em = run_em(ctx.space, sim, size_mb)
     eml = run_eml(ctx.space, ml, sim, size_mb, engine=engine)
 
     saml_times: dict[int, float] = {}

@@ -54,14 +54,14 @@ def _size_grid(ctx: ExperimentContext) -> np.ndarray:
     return np.unique(np.round(np.array(sizes), 6))
 
 
-def fig5_curves(ctx: ExperimentContext, *, affinity: str = "scatter") -> list[PredictionCurve]:
-    """Host measured-vs-predicted curves (Fig. 5)."""
-    return _curves(ctx, side="host", threads_list=FIG5_THREADS, affinity=affinity)
+def fig5_curves(ctx: ExperimentContext) -> list[PredictionCurve]:
+    """Host measured-vs-predicted curves (Fig. 5), scatter affinity."""
+    return _curves(ctx, side="host", threads_list=FIG5_THREADS, affinity="scatter")
 
 
-def fig6_curves(ctx: ExperimentContext, *, affinity: str = "balanced") -> list[PredictionCurve]:
-    """Device measured-vs-predicted curves (Fig. 6)."""
-    return _curves(ctx, side="device", threads_list=FIG6_THREADS, affinity=affinity)
+def fig6_curves(ctx: ExperimentContext) -> list[PredictionCurve]:
+    """Device measured-vs-predicted curves (Fig. 6), balanced affinity."""
+    return _curves(ctx, side="device", threads_list=FIG6_THREADS, affinity="balanced")
 
 
 def _curves(

@@ -66,14 +66,18 @@ def render_series(
     return render_table(headers, rows, title=title, float_format=float_format)
 
 
+#: Characters in the longest bar of :func:`render_histogram`.
+HISTOGRAM_WIDTH = 50
+
+
 def render_histogram(
     labels: Sequence[str],
     counts: Sequence[int],
     *,
     title: str | None = None,
-    width: int = 50,
 ) -> str:
-    """Horizontal ASCII bar chart (Figs. 7-8 style)."""
+    """Horizontal ASCII bar chart (Figs. 7-8 style), the longest bar
+    :data:`HISTOGRAM_WIDTH` characters."""
     if len(labels) != len(counts):
         raise ValueError("labels and counts must align")
     peak = max(counts) if counts else 0
@@ -83,6 +87,6 @@ def render_histogram(
         lines.append("=" * len(title))
     label_w = max((len(l) for l in labels), default=0)
     for label, count in zip(labels, counts):
-        bar = "#" * (0 if peak == 0 else round(width * count / peak))
+        bar = "#" * (0 if peak == 0 else round(HISTOGRAM_WIDTH * count / peak))
         lines.append(f"{label.ljust(label_w)} | {str(count).rjust(6)} {bar}")
     return "\n".join(lines)

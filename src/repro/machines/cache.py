@@ -80,11 +80,11 @@ def device_locality_factor(table_kb: float, device: PhiSpec) -> float:
     return locality_factor(table_kb, device.l1_kb, per_core_l2_kb, ring_l2_kb)
 
 
-def working_set_kb(n_states: int, alphabet_size: int, bytes_per_entry: int = 4) -> float:
-    """Footprint of a dense DFA transition table in KB."""
+def working_set_kb(n_states: int, alphabet_size: int) -> float:
+    """Footprint of a dense DFA transition table (4-byte entries) in KB."""
     if n_states < 0 or alphabet_size < 0:
         raise ValueError("n_states and alphabet_size must be >= 0")
-    return n_states * alphabet_size * bytes_per_entry / 1024.0
+    return n_states * alphabet_size * 4 / 1024.0
 
 
 def log2_threads(n: int) -> float:

@@ -381,9 +381,10 @@ class PlatformSimulator:
         """Batched :meth:`measure_host` over ``(threads, affinity, mb)`` items."""
         return self._measure_batch("host", items)
 
-    def measure_device_batch(self, items, *, device: int = 0) -> list[float]:
-        """Batched :meth:`measure_device` over ``(threads, affinity, mb)`` items."""
-        return self._measure_batch("device", items, device)
+    def measure_device_batch(self, items) -> list[float]:
+        """Batched :meth:`measure_device` on the first card over
+        ``(threads, affinity, mb)`` items."""
+        return self._measure_batch("device", items, 0)
 
     def true_host_time(self, threads: int, affinity: str, mb: float) -> float:
         """Noiseless host time; not counted as an experiment (oracle access)."""

@@ -9,7 +9,6 @@ from .dataset import (
     DEVICE_FEATURE_NAMES,
     HOST_FEATURE_NAMES,
     Dataset,
-    Standardizer,
     encode_device_row,
     encode_host_row,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "DEVICE_FEATURE_NAMES",
     "HOST_FEATURE_NAMES",
     "Dataset",
-    "Standardizer",
     "encode_device_row",
     "encode_host_row",
     "LinearRegression",

@@ -1,7 +1,11 @@
-"""Feature encoding and normalization for the performance predictor.
+"""Feature encoding for the performance predictor.
 
 Figure 4 of the paper: structured training data -> *Normalize Data* ->
-*Train Model* (Boosted Decision Tree Regression).  The features are the
+*Train Model* (Boosted Decision Tree Regression).  Rows reach the
+boosted trees unscaled: a tree splits each feature at a threshold, and
+a per-column affine rescaling moves the thresholds without changing
+which rows fall on which side, so it cannot change a prediction.  The
+features are the
 ones the paper names in section III-B: input size, available computing
 resources (thread count) and thread-allocation strategy, plus the
 workload fraction expressed through the *effective megabytes* the side
@@ -49,31 +53,6 @@ class Dataset:
     def subset(self, idx: np.ndarray) -> "Dataset":
         """Row-subset view of the dataset."""
         return Dataset(self.X[idx], self.y[idx], self.feature_names)
-
-
-class Standardizer:
-    """Z-score normalization fitted on training data only (Fig. 4).
-
-    Constant columns (e.g. a one-hot level absent from the training half)
-    get scale 1 so they pass through unchanged instead of dividing by 0.
-    """
-
-    def __init__(self) -> None:
-        self.mean_: np.ndarray | None = None
-        self.scale_: np.ndarray | None = None
-
-    def fit(self, X: np.ndarray) -> "Standardizer":
-        X = np.asarray(X, dtype=np.float64)
-        self.mean_ = X.mean(axis=0)
-        scale = X.std(axis=0)
-        scale[scale == 0.0] = 1.0
-        self.scale_ = scale
-        return self
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        if self.mean_ is None or self.scale_ is None:
-            raise RuntimeError("Standardizer.transform called before fit")
-        return (np.asarray(X, dtype=np.float64) - self.mean_) / self.scale_
 
 
 def _one_hot(value: str, levels: tuple[str, ...]) -> list[float]:

@@ -440,7 +440,6 @@ def cell_models(
     *,
     seed: int = 0,
     transfer: bool = False,
-    stages_warm: int = WARM_STAGES,
 ) -> CellModels:
     """Trained per-side predictors for one cell, warm-started if asked.
 
@@ -455,7 +454,7 @@ def cell_models(
     :func:`transfer_donor`: the donor chain is materialized recursively
     (cold at the root), the cell re-measures a reduced grid (every
     :data:`WARM_SIZE_STRIDE`-th training size), and the donor's
-    ensembles are extended by ``stages_warm`` continuation stages.  The
+    ensembles are extended by :data:`WARM_STAGES` continuation stages.  The
     donor rule is static, so the result is a pure function of
     ``(platform, workload, seed, transfer)`` — independent of process
     fan-out, traversal order, or what happens to be cached.
@@ -497,10 +496,8 @@ def cell_models(
         donor_names = None
     else:
         dw, dp = donor_cell
-        donor_models = cell_models(
-            dp, dw, seed=seed, transfer=True, stages_warm=stages_warm
-        )
-        stages = stages_warm
+        donor_models = cell_models(dp, dw, seed=seed, transfer=True)
+        stages = WARM_STAGES
         plan = ("warm", donor_models.digest, stages)
         lineage_prefix = donor_models.ledger.lineage
         donor_names = (dw.name, dp.name)

@@ -73,8 +73,6 @@ def run_configuration(
     sim: "PlatformSimulator | str",
     config: "SystemConfiguration",
     size_mb: float,
-    *,
-    noiseless: bool = False,
 ) -> ExecutionOutcome:
     """Execute (measure) one configuration on the simulator.
 
@@ -82,9 +80,7 @@ def run_configuration(
     simulator, so runtime policies resolve substrates through the
     registry like every other layer.  A zero-share part contributes
     zero seconds and is not launched at all, exactly like a real
-    offload runtime skipping an empty region.  ``noiseless=True`` uses
-    oracle times (no experiment accounting) — used for reporting "true"
-    qualities, never by the optimizers.  The configuration must drive
+    offload runtime skipping an empty region.  The configuration must drive
     every card of the platform (deviceless platforms keep one wired,
     never-launched device side), so a card cannot be left idle by a
     configuration built for a smaller node.
@@ -97,19 +93,6 @@ def run_configuration(
             f"platform {sim.platform.name} has {cards}"
         )
     host_mb, device_mbs = config.part_megabytes(size_mb)
-    if noiseless:
-        th = (
-            sim.true_host_time(config.host_threads, config.host_affinity, host_mb)
-            if host_mb > 0
-            else 0.0
-        )
-        tds = [
-            sim.true_device_time(slot.threads, slot.affinity, mb, device=k)
-            if mb > 0
-            else 0.0
-            for k, (slot, mb) in enumerate(zip(config.device_slots, device_mbs))
-        ]
-        return ExecutionOutcome(th, tds[0], tuple(tds[1:]))
     th = (
         sim.measure_host(config.host_threads, config.host_affinity, host_mb)
         if host_mb > 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.params import ParameterSpace, SystemConfiguration
+from ..core.params import SystemConfiguration
 from .base import (
     BudgetedSearch,
     BudgetExhausted,
@@ -22,48 +22,22 @@ from .base import (
     rng_for,
 )
 
+#: Configurations sampled (and evaluated) per iteration.
+ANTS = 16
+#: Per-iteration pheromone decay, in (0, 1).
+EVAPORATION = 0.1
+#: Pheromone added along the best ant's choices each iteration.
+DEPOSIT = 1.0
+#: Fraction of each iteration's ants that deposit.
+ELITE_FRACTION = 0.25
+
 
 class AntColony(BudgetedSearch):
-    """Pheromone-guided sampling with evaporation and elitist deposit.
-
-    Parameters
-    ----------
-    ants:
-        Configurations sampled (and evaluated) per iteration.
-    evaporation:
-        Per-iteration pheromone decay in (0, 1).
-    deposit:
-        Pheromone added along the best ant's choices each iteration.
-    elite_fraction:
-        Fraction of each iteration's ants that deposit.
+    """Pheromone-guided sampling with evaporation and elitist deposit:
+    each iteration samples :data:`ANTS` configurations, trails decay by
+    :data:`EVAPORATION`, and the best :data:`ELITE_FRACTION` of the ants
+    deposit up to :data:`DEPOSIT` along their choices.
     """
-
-    def __init__(
-        self,
-        space: ParameterSpace,
-        *,
-        seed: int = 0,
-        engine=None,
-        ants: int = 16,
-        evaporation: float = 0.1,
-        deposit: float = 1.0,
-        elite_fraction: float = 0.25,
-    ) -> None:
-        super().__init__(space, seed=seed, engine=engine)
-        if ants < 1:
-            raise ValueError(f"ants must be >= 1, got {ants}")
-        if not 0.0 < evaporation < 1.0:
-            raise ValueError(f"evaporation must be in (0, 1), got {evaporation}")
-        if deposit <= 0.0:
-            raise ValueError(f"deposit must be positive, got {deposit}")
-        if not 0.0 < elite_fraction <= 1.0:
-            raise ValueError(
-                f"elite_fraction must be in (0, 1], got {elite_fraction}"
-            )
-        self.ants = ants
-        self.evaporation = evaporation
-        self.deposit = deposit
-        self.elite_fraction = elite_fraction
 
     def _axes(self) -> list[tuple]:
         """One pheromone axis per parameter, in the generic axis order.
@@ -114,7 +88,7 @@ class AntColony(BudgetedSearch):
         track = self._tracker(objective, budget)
         axes = self._axes()
         pheromone = [np.ones(len(axis)) for axis in axes]
-        n_elite = max(1, int(round(self.elite_fraction * self.ants)))
+        n_elite = max(1, int(round(ELITE_FRACTION * ANTS)))
 
         try:
             while True:
@@ -123,7 +97,7 @@ class AntColony(BudgetedSearch):
                         int(rng.choice(len(axis), p=ph / ph.sum()))
                         for axis, ph in zip(axes, pheromone)
                     ]
-                    for _ in range(self.ants)
+                    for _ in range(ANTS)
                 ]
                 values = track.evaluate_many(
                     [self._build(choice, axes) for choice in choices]
@@ -132,10 +106,10 @@ class AntColony(BudgetedSearch):
                     break
                 colony = sorted(zip(values, choices), key=lambda t: t[0])
                 for ph in pheromone:
-                    ph *= 1.0 - self.evaporation
+                    ph *= 1.0 - EVAPORATION
                     ph += 1e-6  # keep every value reachable
                 for rank, (value, choice) in enumerate(colony[:n_elite]):
-                    share = self.deposit / (1 + rank)
+                    share = DEPOSIT / (1 + rank)
                     for axis_idx, value_idx in enumerate(choice):
                         pheromone[axis_idx][value_idx] += share
         except BudgetExhausted:

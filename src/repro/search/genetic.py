@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.params import DeviceSlot, ParameterSpace, SystemConfiguration
+from ..core.params import DeviceSlot, SystemConfiguration
 from .base import (
     BudgetedSearch,
     BudgetExhausted,
@@ -18,6 +18,15 @@ from .base import (
     check_budget,
     rng_for,
 )
+
+#: Individuals per generation.
+POPULATION = 24
+#: Probability that an offspring is additionally mutated.
+MUTATION_RATE = 0.3
+#: Tournament size for parent selection.
+TOURNAMENT = 3
+#: Best individuals copied unchanged into the next generation.
+ELITE = 2
 
 
 def crossover(
@@ -56,44 +65,11 @@ def crossover(
 
 
 class GeneticAlgorithm(BudgetedSearch):
-    """Generational GA with tournament selection and elitism.
-
-    Parameters
-    ----------
-    population:
-        Individuals per generation.
-    mutation_rate:
-        Probability that an offspring is additionally mutated.
-    tournament:
-        Tournament size for parent selection.
-    elite:
-        Best individuals copied unchanged into the next generation.
+    """Generational GA with tournament selection and elitism: each
+    generation holds :data:`POPULATION` individuals, keeps the
+    :data:`ELITE` best, and breeds the rest from :data:`TOURNAMENT`-way
+    tournaments, mutating a child with probability :data:`MUTATION_RATE`.
     """
-
-    def __init__(
-        self,
-        space: ParameterSpace,
-        *,
-        seed: int = 0,
-        engine=None,
-        population: int = 24,
-        mutation_rate: float = 0.3,
-        tournament: int = 3,
-        elite: int = 2,
-    ) -> None:
-        super().__init__(space, seed=seed, engine=engine)
-        if population < 2:
-            raise ValueError(f"population must be >= 2, got {population}")
-        if not 0.0 <= mutation_rate <= 1.0:
-            raise ValueError(f"mutation_rate must be in [0, 1], got {mutation_rate}")
-        if not 1 <= tournament <= population:
-            raise ValueError("tournament must be in [1, population]")
-        if not 0 <= elite < population:
-            raise ValueError("elite must be in [0, population)")
-        self.population = population
-        self.mutation_rate = mutation_rate
-        self.tournament = tournament
-        self.elite = elite
 
     def run(self, objective: Objective, budget: int) -> SearchResult:
         """Minimize with at most ``budget`` evaluations.
@@ -107,23 +83,23 @@ class GeneticAlgorithm(BudgetedSearch):
         track = self._tracker(objective, budget)
 
         try:
-            pop = [self.space.random_config(rng) for _ in range(self.population)]
+            pop = [self.space.random_config(rng) for _ in range(POPULATION)]
             fitness = track.evaluate_many(pop)
             if len(fitness) < len(pop):
                 raise BudgetExhausted()
             while True:
                 order = np.argsort(fitness)
-                next_pop = [pop[i] for i in order[: self.elite]]
-                next_fit = [fitness[i] for i in order[: self.elite]]
+                next_pop = [pop[i] for i in order[:ELITE]]
+                next_fit = [fitness[i] for i in order[:ELITE]]
                 children = []
-                while len(next_pop) + len(children) < self.population:
+                while len(next_pop) + len(children) < POPULATION:
                     parents = []
                     for _ in range(2):
-                        contenders = rng.integers(0, len(pop), size=self.tournament)
+                        contenders = rng.integers(0, len(pop), size=TOURNAMENT)
                         winner = min(contenders, key=lambda i: fitness[i])
                         parents.append(pop[winner])
                     child = crossover(parents[0], parents[1], rng)
-                    if rng.random() < self.mutation_rate:
+                    if rng.random() < MUTATION_RATE:
                         child = self.space.neighbor(child, rng)
                     children.append(child)
                 values = track.evaluate_many(children)

@@ -17,21 +17,13 @@ from .base import (
     rng_for,
 )
 
+#: Consecutive non-improving neighbor evaluations before a restart.
+PATIENCE = 30
+
 
 class HillClimbing(BudgetedSearch):
-    """First-improvement hill climbing with stagnation-triggered restarts.
-
-    Parameters
-    ----------
-    patience:
-        Consecutive non-improving neighbor evaluations before a restart.
-    """
-
-    def __init__(self, space, *, seed: int = 0, engine=None, patience: int = 30) -> None:
-        super().__init__(space, seed=seed, engine=engine)
-        if patience < 1:
-            raise ValueError(f"patience must be >= 1, got {patience}")
-        self.patience = patience
+    """First-improvement hill climbing, restarting from a random
+    configuration after :data:`PATIENCE` non-improving neighbors."""
 
     def run(self, objective: Objective, budget: int) -> SearchResult:
         """Minimize with at most ``budget`` evaluations."""
@@ -46,7 +38,7 @@ class HillClimbing(BudgetedSearch):
                 current = self.space.random_config(rng)
                 current_value = track.evaluate(current)
                 stale = 0
-                while stale < self.patience:
+                while stale < PATIENCE:
                     candidate = self.space.neighbor(current, rng)
                     value = track.evaluate(candidate)
                     if value < current_value:

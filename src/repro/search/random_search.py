@@ -2,31 +2,21 @@
 
 Any informed method must beat it at equal budget; the ablation bench
 checks that simulated annealing does.  Samples are independent, so the
-search is batch-native: whole blocks of candidates go to the engine in
-one call (the candidate sequence, and hence the trace, is identical for
-any batch size).
+search is batch-native: blocks of :data:`BATCH_SIZE` candidates go to
+the engine in one call.
 """
 
 from __future__ import annotations
 
 from .base import BudgetedSearch, BudgetExhausted, Objective, SearchResult, check_budget, rng_for
 
+#: Candidates proposed per engine call.  Affects only how work is
+#: chunked, never which configurations are evaluated.
+BATCH_SIZE = 64
+
 
 class RandomSearch(BudgetedSearch):
-    """Sample configurations uniformly at random.
-
-    Parameters
-    ----------
-    batch_size:
-        Candidates proposed per engine call.  Affects only how work is
-        chunked, never which configurations are evaluated.
-    """
-
-    def __init__(self, space, *, seed: int = 0, engine=None, batch_size: int = 64) -> None:
-        super().__init__(space, seed=seed, engine=engine)
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        self.batch_size = batch_size
+    """Sample configurations uniformly at random."""
 
     def run(self, objective: Objective, budget: int) -> SearchResult:
         """Evaluate ``budget`` uniform random configurations."""
@@ -35,7 +25,7 @@ class RandomSearch(BudgetedSearch):
         track = self._tracker(objective, budget)
         try:
             while True:
-                n = min(self.batch_size, max(track.remaining, 1))
+                n = min(BATCH_SIZE, max(track.remaining, 1))
                 track.evaluate_many(
                     [self.space.random_config(rng) for _ in range(n)]
                 )

@@ -21,6 +21,12 @@ from .base import (
 )
 
 
+#: Capacity of the recently-visited memory.
+TABU_SIZE = 50
+#: Neighbors sampled (and evaluated) per move.
+NEIGHBORHOOD = 8
+
+
 def _key(c: SystemConfiguration) -> tuple:
     return (
         c.host_threads,
@@ -33,32 +39,10 @@ def _key(c: SystemConfiguration) -> tuple:
 
 
 class TabuSearch(BudgetedSearch):
-    """Best-of-neighborhood moves with a tabu list.
-
-    Parameters
-    ----------
-    tabu_size:
-        Capacity of the recently-visited memory.
-    neighborhood:
-        Neighbors sampled (and evaluated) per move.
+    """Best-of-neighborhood moves with a tabu list: each move samples
+    :data:`NEIGHBORHOOD` neighbors and skips the :data:`TABU_SIZE` most
+    recently visited configurations.
     """
-
-    def __init__(
-        self,
-        space,
-        *,
-        seed: int = 0,
-        engine=None,
-        tabu_size: int = 50,
-        neighborhood: int = 8,
-    ) -> None:
-        super().__init__(space, seed=seed, engine=engine)
-        if tabu_size < 1:
-            raise ValueError(f"tabu_size must be >= 1, got {tabu_size}")
-        if neighborhood < 1:
-            raise ValueError(f"neighborhood must be >= 1, got {neighborhood}")
-        self.tabu_size = tabu_size
-        self.neighborhood = neighborhood
 
     def run(self, objective: Objective, budget: int) -> SearchResult:
         """Minimize with at most ``budget`` evaluations.
@@ -71,7 +55,7 @@ class TabuSearch(BudgetedSearch):
         check_budget(budget)
         rng = rng_for(self.seed)
         track = self._tracker(objective, budget)
-        tabu: deque[tuple] = deque(maxlen=self.tabu_size)
+        tabu: deque[tuple] = deque(maxlen=TABU_SIZE)
         tabu_set: set[tuple] = set()
 
         def remember(c: SystemConfiguration) -> None:
@@ -90,7 +74,7 @@ class TabuSearch(BudgetedSearch):
             while True:
                 sampled = [
                     self.space.neighbor(current, rng)
-                    for _ in range(self.neighborhood)
+                    for _ in range(NEIGHBORHOOD)
                 ]
                 candidates = [c for c in sampled if _key(c) not in tabu_set]
                 best_candidate: SystemConfiguration | None = None

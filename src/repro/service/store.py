@@ -83,7 +83,7 @@ from repro.reliability import (
 
 from .. import codec
 from ..core.campaign import ML_METHODS, ScenarioReport
-from ..core.methods import METHOD_PROPERTIES, MethodResult, check_size_mb
+from ..core.methods import METHOD_PROPERTIES, MethodResult, check_iterations, check_size_mb
 from ..core.options import TuningOptions
 from ..dna.workloads import get_workload, is_derived_key
 from ..machines.registry import resolve_platform
@@ -175,12 +175,14 @@ class CellKey:
         :class:`~repro.core.options.TuningOptions`, ``None`` for the
         defaults); the execution-only fields (``shards`` / ``processes``
         / ``start_method``) are ignored by construction.  Raises
-        ``ValueError`` for unknown workload/platform/method names, for a
-        given size that is not a positive finite number, and for
+        ``ValueError`` for an iteration budget below one, for unknown
+        workload/platform/method names, for a given size that is not a
+        positive finite number, and for
         ML-backed methods on a platform without an accelerator, so
         admission rejects bad requests before touching the store or
         charging a quota.
         """
+        check_iterations(iterations)
         if size_mb is not None:
             check_size_mb(size_mb)
         opts = options or TuningOptions()

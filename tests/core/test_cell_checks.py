@@ -9,6 +9,7 @@ from repro import WorkDistributionTuner
 from repro.cli import main
 from repro.core import TuningOptions, campaign, tune_platform, tune_scenario
 from repro.core.params import ParameterSpace
+from repro.core.portfolio import run_portfolio
 from repro.core.training import generate_training_data, train_models
 from repro.machines import PlatformSimulator
 from repro.ml import LinearRegression
@@ -49,6 +50,43 @@ class TestSizeValidation:
     def test_cell_key_rejects_a_given_size(self, size_mb):
         with pytest.raises(ValueError, match="size_mb"):
             CellKey.for_request("dna-paper", "emil", size_mb=size_mb)
+
+
+BAD_ITERATIONS = (0, -5)
+METHODS = ("EM", "EML", "SAM", "SAML")
+
+
+class TestIterationsValidation:
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("iterations", BAD_ITERATIONS)
+    def test_tune_platform_rejects_before_the_em_walk(self, method, iterations):
+        before = set(campaign._EM_CACHE)
+        # A seed no other case tunes, so the EM walk would be a fresh one.
+        seed = 9871 + 10 * METHODS.index(method) - iterations
+        with pytest.raises(ValueError, match="iterations"):
+            tune_platform("emil", method=method, iterations=iterations, seed=seed)
+        assert set(campaign._EM_CACHE) == before
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_tuner_rejects_for_every_method(self, method):
+        tuner = WorkDistributionTuner(space=SMALL_SPACE, seed=0)
+        with pytest.raises(ValueError, match="iterations"):
+            tuner.tune(1000.0, method=method, iterations=0)
+
+    def test_portfolio_rejects(self):
+        with pytest.raises(ValueError, match="iterations"):
+            run_portfolio(SMALL_SPACE, PlatformSimulator(seed=0), 1000.0, iterations=0)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("iterations", BAD_ITERATIONS)
+    def test_cell_key_rejects(self, method, iterations):
+        with pytest.raises(ValueError, match="iterations"):
+            CellKey.for_request("dna-paper", "emil", method=method, iterations=iterations)
+
+    def test_cli_tune_rejects(self, capsys):
+        code = main(["tune", "--method", "EM", "--iterations", "0"])
+        assert code == 2
+        assert "iterations" in capsys.readouterr().err
 
 
 def test_engine_counters_stay_out_of_report_equality():

@@ -34,12 +34,6 @@ class TestEnumerateBest:
         res = enumerate_best(SMALL, ev, 2000.0)
         assert res.configurations == SMALL.size() == 40
 
-    def test_keep_all_returns_every_row(self):
-        ev = MeasurementEvaluator(PlatformSimulator(seed=0))
-        res, rows = enumerate_best(SMALL, ev, 2000.0, keep_all=True)
-        assert len(rows) == SMALL.size()
-        assert min(e.value for _, e in rows) == res.best_energy.value
-
 
 class TestSeparableFastPath:
     def test_identical_to_full_walk(self):

@@ -5,7 +5,9 @@ import pytest
 
 from repro.core import (
     METHOD_PROPERTIES,
+    MeasurementEvaluator,
     ParameterSpace,
+    enumerate_best,
     run_em,
     run_eml,
     run_method,
@@ -67,16 +69,15 @@ class TestEM:
         assert em.experiments == SPACE.size()
 
     def test_fast_path_matches_slow_path(self, sim):
-        fast = run_em(SPACE, sim, 2000.0, separable_fast_path=True)
-        slow = run_em(SPACE, sim, 2000.0, separable_fast_path=False)
-        assert fast.config == slow.config
+        fast = run_em(SPACE, sim, 2000.0)
+        slow = enumerate_best(SPACE, MeasurementEvaluator(sim), 2000.0)
+        assert fast.config == slow.best_config
 
 
 class TestSAM:
     def test_respects_iteration_budget(self, sim):
         sam = run_sam(SPACE, sim, 3170.0, iterations=150, seed=0)
         assert sam.search_evaluations == 151  # budget + initial solution
-        assert sam.annealing is not None
 
     def test_experiments_bounded_by_evaluations(self, sim):
         sam = run_sam(SPACE, sim, 3170.0, iterations=150, seed=0)

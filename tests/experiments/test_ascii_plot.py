@@ -25,7 +25,7 @@ class TestLinePlot:
         assert out.splitlines()[0] == "My Plot"
 
     def test_monotone_series_slopes_correctly(self):
-        out = line_plot([0, 1, 2, 3], {"up": [0.0, 1.0, 2.0, 3.0]}, height=8, width=24)
+        out = line_plot([0, 1, 2, 3], {"up": [0.0, 1.0, 2.0, 3.0]})
         rows = [ln for ln in out.splitlines() if "|" in ln and ln.rstrip().endswith("|")]
         first_marker_col = [r.index("o") for r in rows if "o" in r]
         # Higher rows (earlier lines) hold larger y -> larger x positions.
@@ -37,7 +37,6 @@ class TestLinePlot:
             {"x": [], "series": {"s": []}},
             {"x": [1], "series": {}},
             {"x": [1, 2], "series": {"s": [1.0]}},
-            {"x": [1], "series": {"s": [1.0]}, "width": 4},
         ],
     )
     def test_validation(self, kwargs):

@@ -1,4 +1,4 @@
-"""Dataset container, standardization, feature encoding."""
+"""Dataset container, feature encoding."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.ml import (
     DEVICE_FEATURE_NAMES,
     HOST_FEATURE_NAMES,
     Dataset,
-    Standardizer,
     encode_device_row,
     encode_host_row,
 )
@@ -35,29 +34,6 @@ class TestDataset:
         sub = ds.subset(np.array([0, 2]))
         assert len(sub) == 2
         assert sub.y.tolist() == [0, 2]
-
-
-class TestStandardizer:
-    def test_zero_mean_unit_std(self):
-        rng = np.random.default_rng(0)
-        X = rng.normal(5.0, 3.0, size=(500, 3))
-        Z = Standardizer().fit(X).transform(X)
-        assert np.allclose(Z.mean(axis=0), 0.0, atol=1e-9)
-        assert np.allclose(Z.std(axis=0), 1.0, atol=1e-9)
-
-    def test_constant_column_passes_through(self):
-        X = np.ones((10, 1))
-        Z = Standardizer().fit(X).transform(X)
-        assert np.allclose(Z, 0.0)  # mean removed, scale forced to 1
-
-    def test_transform_before_fit_raises(self):
-        with pytest.raises(RuntimeError):
-            Standardizer().transform(np.ones((2, 2)))
-
-    def test_fit_statistics_frozen_at_fit_time(self):
-        s = Standardizer().fit(np.zeros((5, 1)))
-        out = s.transform(np.full((2, 1), 7.0))
-        assert np.allclose(out, 7.0)
 
 
 class TestEncoding:

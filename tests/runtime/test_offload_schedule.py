@@ -33,11 +33,6 @@ class TestRunConfiguration:
         device_only = run_configuration(sim, config(0.0), 1000.0)
         assert device_only.t_host == 0.0
 
-    def test_noiseless_oracle_not_counted(self):
-        sim = PlatformSimulator(seed=0)
-        run_configuration(sim, config(), 1000.0, noiseless=True)
-        assert sim.experiment_count == 0
-
     def test_measured_run_counts_two_experiments(self):
         sim = PlatformSimulator(seed=0)
         run_configuration(sim, config(), 1000.0)

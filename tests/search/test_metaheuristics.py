@@ -93,7 +93,7 @@ class TestSearchQuality:
             assert informed <= rand * 1.02, cls.__name__
 
     def test_hill_climbing_restarts_on_stagnation(self):
-        hc = HillClimbing(SPACE, seed=0, patience=5)
+        hc = HillClimbing(SPACE, seed=0)
         result = hc.run(objective, budget=400)
         assert result.best_value < 0.55  # reaches near-optimal
 
@@ -110,29 +110,3 @@ class TestGeneticOperators:
             assert child.device_threads in (a.device_threads, b.device_threads)
             assert child.device_affinity in (a.device_affinity, b.device_affinity)
             assert child.host_fraction in (a.host_fraction, b.host_fraction)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"population": 1},
-            {"mutation_rate": 1.5},
-            {"tournament": 0},
-            {"elite": 24},
-        ],
-    )
-    def test_parameter_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            GeneticAlgorithm(SPACE, **kwargs)
-
-
-class TestTabuSpecifics:
-    @pytest.mark.parametrize("kwargs", [{"tabu_size": 0}, {"neighborhood": 0}])
-    def test_parameter_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            TabuSearch(SPACE, **kwargs)
-
-
-class TestHillClimbingSpecifics:
-    def test_patience_validation(self):
-        with pytest.raises(ValueError):
-            HillClimbing(SPACE, patience=0)

@@ -1,4 +1,5 @@
-"""Served requests with an unusable input size are rejected at admission."""
+"""Served requests with an unusable input size or iteration budget are
+rejected at admission."""
 
 import math
 
@@ -24,4 +25,25 @@ def test_bad_size_is_a_bad_request(tmp_path, monkeypatch, size_mb):
     events, stats = serve(scenario, tmp_path)
     assert events[-1]["event"] == "rejected"
     assert events[-1]["reason"] == "bad-request"
+    assert stats.client_spent == {}
+
+
+@pytest.mark.parametrize("iterations", (0, -5))
+def test_bad_iterations_is_a_bad_request(tmp_path, monkeypatch, iterations):
+    def forbidden(job):
+        raise AssertionError("a request with a bad iteration budget reached evaluation")
+
+    monkeypatch.setattr(campaign, "_tune_scenario_worker", forbidden)
+
+    async def scenario(server):
+        async with ServiceClient(port=server.port) as client:
+            events = await client.submit(
+                SubmitRequest(**{**REQUEST, "iterations": iterations})
+            )
+        return events, server.stats
+
+    events, stats = serve(scenario, tmp_path)
+    assert events[-1]["event"] == "rejected"
+    assert events[-1]["reason"] == "bad-request"
+    assert "iterations" in events[-1]["detail"]
     assert stats.client_spent == {}

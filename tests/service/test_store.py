@@ -4,7 +4,6 @@ import threading
 
 import pytest
 
-from repro.codec import encode as encode_method_result
 from repro.core.campaign import _em_cache_key, tune_scenario
 from repro.core.methods import run_method
 from repro.core.options import TuningOptions
@@ -125,16 +124,6 @@ class TestEmRoundTrip:
         reopened = ResultStore(tmp_path / "s.jsonl")
         assert reopened.get_em(key) == result
         assert reopened.count("em") == 1
-
-    def test_annealing_traces_are_refused(self):
-        spec = get_platform("emil")
-        workload = get_workload("short-read")
-        space = workload_space(workload, spec)
-        sim = PlatformSimulator(spec, workload.profile(), seed=0)
-        sam = run_method("SAM", space, sim, SIZE_MB, iterations=ITERS)
-        assert sam.annealing is not None
-        with pytest.raises(ValueError, match="annealing"):
-            encode_method_result(sam)
 
     def test_key_digest_tracks_calibration_content(self):
         spec = get_workload("short-read")
