@@ -646,6 +646,9 @@ def tune_matrix(
     input scale for every cell (``--size-mb`` of ``python -m repro
     campaign``, and tests).
     """
+    check_iterations(iterations)
+    if size_mb is not None:
+        check_size_mb(size_mb)
     opts = options or TuningOptions()
     method = method.upper()
     wnames = list(workloads) if workloads is not None else list(workload_names())

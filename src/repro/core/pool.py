@@ -75,7 +75,7 @@ def pool_context(prefer: str | None = None):
     return multiprocessing.get_context()  # pragma: no cover - no known platform
 
 
-def pool_executor(processes: int, start_method: str | None = None):
+def pool_executor(processes: int):
     """A ``ProcessPoolExecutor`` on this package's preferred context.
 
     The ``concurrent.futures`` twin of ``pool_context(...).Pool(...)``
@@ -89,9 +89,7 @@ def pool_executor(processes: int, start_method: str | None = None):
 
     if processes < 1:
         raise ValueError(f"processes must be >= 1, got {processes}")
-    return ProcessPoolExecutor(
-        max_workers=processes, mp_context=pool_context(start_method)
-    )
+    return ProcessPoolExecutor(max_workers=processes, mp_context=pool_context())
 
 
 def _task_shim(payload):

@@ -49,19 +49,17 @@ class DNASequenceAnalysis:
     ----------
     motifs:
         Patterns to search for (defaults to promoter + restriction sites).
-    vectorized:
-        Use the exact windowed scanner (True) or the scalar reference
-        engine (False) for chunk scans.
+        Chunk scans use the exact windowed scanner when its table fits.
     """
 
-    def __init__(self, motifs: MotifSet = DEFAULT_MOTIFS, *, vectorized: bool = True) -> None:
+    def __init__(self, motifs: MotifSet = DEFAULT_MOTIFS) -> None:
         from .automaton import window_table_feasible
 
         self.motifs = motifs
         self.dfa: DFA = build_automaton(motifs)
         # Very long patterns make the windowed scanner's precomputed
         # table infeasible; fall back to the scalar engine transparently.
-        self.vectorized = vectorized and window_table_feasible(self.dfa)
+        self.vectorized = window_table_feasible(self.dfa)
         self.engine = ParemEngine(self.dfa, vectorized=self.vectorized)
 
     def workload_profile(self) -> WorkloadProfile:

@@ -30,7 +30,7 @@ def proportional_shares(
     """Shares proportional to each part's standalone throughput.
 
     Every part — the host and each card of the simulator's platform —
-    gets a share proportional to its noiseless throughput on the full
+    gets a share proportional to its noise-free throughput on the full
     workload (a common static heuristic, cf. CoreTsar's linear model);
     every card runs ``device_threads`` / ``device_affinity``.
     """

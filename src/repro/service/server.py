@@ -170,7 +170,6 @@ class CampaignServer:
         max_pending: int = 8,
         quota: int | None = None,
         processes: int = 0,
-        start_method: str | None = None,
         eval_deadline_s: float | None = None,
         retry: RetryPolicy | None = None,
     ):
@@ -190,7 +189,6 @@ class CampaignServer:
         self.max_pending = max_pending
         self.quota = quota
         self.processes = processes
-        self.start_method = start_method
         self.stats = ServiceStats()
         self._workers = processes if processes > 0 else min(max_pending, 4)
         self._in_flight: dict[CellKey, asyncio.Future] = {}
@@ -214,7 +212,7 @@ class CampaignServer:
         # entries merged back) persist without any further plumbing.
         self._previous_store = campaign_mod.set_result_store(self.store)
         if self.processes > 0:
-            self._executor = pool_executor(self.processes, self.start_method)
+            self._executor = pool_executor(self.processes)
         else:
             self._executor = ThreadPoolExecutor(
                 max_workers=self._workers, thread_name_prefix="repro-eval"
@@ -574,7 +572,7 @@ class CampaignServer:
         self.stats.executor_rebuilds += 1
         broken = self._executor
         if self.processes > 0:
-            self._executor = pool_executor(self.processes, self.start_method)
+            self._executor = pool_executor(self.processes)
         else:
             self._executor = ThreadPoolExecutor(
                 max_workers=self._workers, thread_name_prefix="repro-eval"

@@ -7,7 +7,7 @@ import pytest
 
 from repro import WorkDistributionTuner
 from repro.cli import main
-from repro.core import TuningOptions, campaign, tune_platform, tune_scenario
+from repro.core import TuningOptions, campaign, tune_matrix, tune_platform, tune_scenario
 from repro.core.params import ParameterSpace
 from repro.core.portfolio import run_portfolio
 from repro.core.training import generate_training_data, train_models
@@ -72,6 +72,16 @@ class TestIterationsValidation:
         tuner = WorkDistributionTuner(space=SMALL_SPACE, seed=0)
         with pytest.raises(ValueError, match="iterations"):
             tuner.tune(1000.0, method=method, iterations=0)
+
+    def test_matrix_rejects_before_fanning_out(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a matrix with a bad budget reached dispatch")
+
+        monkeypatch.setattr(campaign, "run_tasks", forbidden)
+        with pytest.raises(ValueError, match="iterations"):
+            tune_matrix(
+                ["dna-paper"], ["emil"], iterations=0, options=TuningOptions(processes=2)
+            )
 
     def test_portfolio_rejects(self):
         with pytest.raises(ValueError, match="iterations"):

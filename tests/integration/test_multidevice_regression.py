@@ -82,9 +82,9 @@ class TestHeterogeneousCards:
 
     def test_homogeneous_cards_share_the_model_but_not_noise(self):
         sim = PlatformSimulator("dualphi", seed=3)
-        noiseless = PlatformSimulator("dualphi", noise=False, seed=3)
-        assert noiseless.true_device_time(240, "balanced", 500.0) == (
-            noiseless.true_device_time(240, "balanced", 500.0, device=1)
+        noise_free = PlatformSimulator("dualphi", noise=False, seed=3)
+        assert noise_free.true_device_time(240, "balanced", 500.0) == (
+            noise_free.true_device_time(240, "balanced", 500.0, device=1)
         )
         assert sim.measure_device(240, "balanced", 500.0) != (
             sim.measure_device(240, "balanced", 500.0, device=1)

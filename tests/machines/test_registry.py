@@ -120,9 +120,9 @@ class TestPerfProfile:
             ),
         )
         sim = PlatformSimulator(quiet, seed=3)
-        noiseless = PlatformSimulator(quiet, noise=False, seed=3)
+        noise_free = PlatformSimulator(quiet, noise=False, seed=3)
         assert sim.measure_host(12, "scatter", 500.0) == pytest.approx(
-            noiseless.measure_host(12, "scatter", 500.0)
+            noise_free.measure_host(12, "scatter", 500.0)
         )
 
     def test_validation(self):

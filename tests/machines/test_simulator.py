@@ -28,7 +28,7 @@ class TestDeterminism:
 
 
 class TestNoise:
-    def test_noiseless_matches_true_time(self):
+    def test_noise_free_measurement_matches_true_time(self):
         sim = PlatformSimulator(noise=False)
         assert sim.measure_host(24, "scatter", 1000.0) == sim.true_host_time(
             24, "scatter", 1000.0

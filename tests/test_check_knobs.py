@@ -176,6 +176,20 @@ def test_a_classmethod_cls_call_sets_init_parameters(tmp_path):
     assert unset(root) == []
 
 
+def test_a_cls_call_sets_only_its_own_class(tmp_path):
+    root = mini_tree(
+        tmp_path,
+        {
+            "src/pkg/mod.py": "class Box:\n    def __init__(self, size=1):\n"
+            "        self.size = size\n\n\nclass Crate:\n"
+            "    def __init__(self, size=1):\n        self.size = size\n\n"
+            "    @classmethod\n    def big(cls):\n        return cls(size=9)\n",
+            "examples/use.py": "from pkg.mod import Box, Crate\n\nBox()\nCrate.big()\n",
+        },
+    )
+    assert unset(root) == ["pkg.mod:Box.__init__.size"]
+
+
 def test_recursion_is_not_a_caller(tmp_path):
     root = mini_tree(
         tmp_path,

@@ -16,8 +16,9 @@ own body (recursion is not a caller),
 
 Calls match definitions by spelling, as in ``tools/check_reachable.py``:
 a call spelled ``f(...)`` or ``obj.f(...)`` matches every definition
-named ``f``, and a constructor call ``Cls(...)`` (or a ``cls(...)`` /
-``super().__init__(...)``) matches ``__init__``.  So the check can miss
+named ``f``, and a constructor call ``Cls(...)`` (or a
+``super().__init__(...)``, or a ``cls(...)`` in the body of ``Cls``)
+matches ``__init__``.  So the check can miss
 a knob that shares its function's name with a set one, but it never
 flags a knob that a caller does set by name.
 
@@ -56,10 +57,16 @@ ALLOW: dict[str, str] = {
     "repro.dna.regex:compile_regex.max_states": "safety limit on automaton size",
     # Evaluation-engine plumbing, deleted with the engine axis (ROADMAP item 2).
     "repro.core.enumeration:enumerate_best.batch_size": "engine plumbing (ROADMAP item 2)",
+    "repro.search.base:BudgetedSearch.__init__.engine": "engine plumbing (ROADMAP item 2)",
+    # Set through a call the scan cannot spell.
+    "repro.search.base:BudgetedSearch.__init__.seed": "set via the portfolio's name table",
     # Optional wire-event fields of the client API.
     "repro.service.client:submit.on_event": "optional per-event callback of the stream",
     # Test seams: inputs the tests vary to reach a path or shrink a run.
     "repro.service.client:submit.retry": "test seam: chaos tests inject a retry policy",
+    "repro.service.server:CampaignServer.__init__.retry": "test seam: chaos retry policy",
+    "repro.service.store:ResultStore.__init__.schema_version": "test seam: stale-schema stores",
+    "repro.core.tuner:WorkDistributionTuner.__init__.space": "test seam: small spaces",
     "repro.dna.parem:parem_scan.executor": "test seam: drives the thread-pool chunk path",
     "repro.dna.regex:CompiledRegex.count.start_state": "test seam: resumes a scan mid-stream",
     "repro.dna.sequence:generate_sequence.unknown_rate": "test seam: sequences holding Ns",
@@ -71,7 +78,7 @@ ALLOW: dict[str, str] = {
 def _spellings(node: ast.FunctionDef | ast.AsyncFunctionDef, owner: str | None) -> set[str]:
     """The call spellings that reach a definition."""
     if owner is not None and node.name == "__init__":
-        return {owner, "cls", "__init__"}
+        return {owner, "__init__"}
     return {node.name}
 
 
@@ -121,12 +128,20 @@ def calls(tree: ast.Module) -> list[tuple[str, int, float, set[str] | None]]:
     The positional count is infinite after a ``*args`` unpacking, and
     the keyword set is ``None`` (any keyword) after a ``**kwargs`` one.
     """
+    owners = {
+        id(inner): node.name
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for inner in ast.walk(node)
+    }
     out = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         if isinstance(node.func, ast.Name):
             spelling = node.func.id
+            if spelling == "cls":
+                spelling = owners.get(id(node), spelling)
         elif isinstance(node.func, ast.Attribute):
             spelling = node.func.attr
         else:
