@@ -11,6 +11,7 @@ from repro.search import (
     TabuSearch,
     crossover,
 )
+from repro.search import hill_climbing
 
 SPACE = ParameterSpace(
     host_threads=(2, 6, 12, 24, 36, 48),
@@ -92,10 +93,43 @@ class TestSearchQuality:
             )
             assert informed <= rand * 1.02, cls.__name__
 
-    def test_hill_climbing_restarts_on_stagnation(self):
-        hc = HillClimbing(SPACE, seed=0)
-        result = hc.run(objective, budget=400)
-        assert result.best_value < 0.55  # reaches near-optimal
+    def test_hill_climbing_reaches_near_optimum(self):
+        result = HillClimbing(SPACE, seed=0).run(objective, budget=400)
+        assert result.best_value < 0.55
+
+    def test_hill_climbing_restarts_on_stagnation(self, monkeypatch):
+        """After PATIENCE non-improving neighbors, the next scored
+        configuration is a fresh random one."""
+        monkeypatch.setattr(hill_climbing, "PATIENCE", 3)
+        starts = []
+        random_config = ParameterSpace.random_config
+
+        def recording_random_config(space, rng):
+            starts.append(random_config(space, rng))
+            return starts[-1]
+
+        monkeypatch.setattr(ParameterSpace, "random_config", recording_random_config)
+        seen = []
+
+        def recording(config):
+            seen.append(config)
+            return objective(config)
+
+        HillClimbing(SPACE, seed=0).run(recording, budget=200)
+        # Replay the acceptance rule over what was scored: each chain
+        # starts at the next restart and ends after PATIENCE misses.
+        restarts = iter(starts)
+        stale = 3
+        for config in seen:
+            if stale == 3:
+                assert config == next(restarts)
+                current, stale = objective(config), 0
+            elif objective(config) < current:
+                current, stale = objective(config), 0
+            else:
+                stale += 1
+        assert len(starts) > 2
+        assert next(restarts, None) is None
 
 
 class TestGeneticOperators:

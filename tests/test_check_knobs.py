@@ -4,7 +4,7 @@ The check runs in the lint job; these cases pin what it guarantees: the
 committed tree has no defaulted ``src/`` parameter that only tests set
 and no stale allow-list entry.  The cases on small synthetic trees pin
 each rule of the scan: which calls set a parameter (keyword, position,
-unpacking, constructor spellings) and which do not (tests, recursion).
+unpacking, constructor spellings, import aliases) and which do not (tests, recursion).
 """
 
 import importlib.util
@@ -30,7 +30,7 @@ check = load_tool()
 
 def mini_tree(root: Path, files: dict[str, str]) -> Path:
     """A tree with the caller directories and ``files`` (path -> source)."""
-    for top in check.CALLER_DIRS:
+    for top in ("src", "examples", "perfbench", "tools"):
         (root / top).mkdir(parents=True, exist_ok=True)
     (root / "src" / "pkg").mkdir()
     (root / "src" / "pkg" / "__init__.py").write_text("", encoding="utf-8")
@@ -188,6 +188,17 @@ def test_a_cls_call_sets_only_its_own_class(tmp_path):
         },
     )
     assert unset(root) == ["pkg.mod:Box.__init__.size"]
+
+
+def test_a_call_through_an_import_alias_sets(tmp_path):
+    root = mini_tree(
+        tmp_path,
+        {
+            "src/pkg/mod.py": "def f(a, *, host='x', port=1):\n    return a, host, port\n",
+            "examples/use.py": "from pkg.mod import f as g\n\ng(0, host='y')\n",
+        },
+    )
+    assert unset(root) == ["pkg.mod:f.port"]
 
 
 def test_recursion_is_not_a_caller(tmp_path):

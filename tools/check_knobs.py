@@ -18,9 +18,12 @@ Calls match definitions by spelling, as in ``tools/check_reachable.py``:
 a call spelled ``f(...)`` or ``obj.f(...)`` matches every definition
 named ``f``, and a constructor call ``Cls(...)`` (or a
 ``super().__init__(...)``, or a ``cls(...)`` in the body of ``Cls``)
-matches ``__init__``.  So the check can miss
-a knob that shares its function's name with a set one, but it never
-flags a knob that a caller does set by name.
+matches ``__init__``.  A call through an import alias
+(``from m import f as g`` then ``g(...)``) is spelled ``f``.  So the
+check can miss a knob that shares its function's name with a set one,
+but it never flags a knob that a caller does set by name.  The walk
+over the caller trees, the own-body rule and the allow-list rules are
+``check_reachable``'s.
 
 Tests are not callers: a default that only ``tests/`` override is a
 constant.  Definitions that ``tools/check_reachable.py`` allows without
@@ -42,16 +45,19 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from check_reachable import ALLOW as UNREACHED, CALLER_DIRS, module_name  # noqa: E402
+from check_reachable import (  # noqa: E402
+    ALLOW as UNREACHED,
+    in_body,
+    judge,
+    module_name,
+    parse_tree,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 
 #: ``module:qualname.parameter`` -> why it stays although no caller in
 #: the caller trees sets it.
 ALLOW: dict[str, str] = {
-    # Deployment settings: the defaults are where a local server listens.
-    "repro.service.client:submit.host": "deployment setting: server address",
-    "repro.service.client:submit.port": "deployment setting: server port",
     # Safety limits: bounds a caller may tighten, never part of a result.
     "repro.dna.automaton:window_table_feasible.max_entries": "safety limit on table size",
     "repro.dna.regex:compile_regex.max_states": "safety limit on automaton size",
@@ -60,8 +66,6 @@ ALLOW: dict[str, str] = {
     "repro.search.base:BudgetedSearch.__init__.engine": "engine plumbing (ROADMAP item 2)",
     # Set through a call the scan cannot spell.
     "repro.search.base:BudgetedSearch.__init__.seed": "set via the portfolio's name table",
-    # Optional wire-event fields of the client API.
-    "repro.service.client:submit.on_event": "optional per-event callback of the stream",
     # Test seams: inputs the tests vary to reach a path or shrink a run.
     "repro.service.client:submit.retry": "test seam: chaos tests inject a retry policy",
     "repro.service.server:CampaignServer.__init__.retry": "test seam: chaos retry policy",
@@ -125,9 +129,17 @@ def knobs(module: str, tree: ast.Module) -> list[tuple[str, set[str], str, int |
 def calls(tree: ast.Module) -> list[tuple[str, int, float, set[str] | None]]:
     """``(spelling, line, positional count, keywords)`` of every call.
 
-    The positional count is infinite after a ``*args`` unpacking, and
-    the keyword set is ``None`` (any keyword) after a ``**kwargs`` one.
+    A name imported under an alias is spelled as the imported name.  The
+    positional count is infinite after a ``*args`` unpacking, and the
+    keyword set is ``None`` (any keyword) after a ``**kwargs`` one.
     """
+    aliases = {
+        alias.asname: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.asname
+    }
     owners = {
         id(inner): node.name
         for node in tree.body
@@ -139,7 +151,7 @@ def calls(tree: ast.Module) -> list[tuple[str, int, float, set[str] | None]]:
         if not isinstance(node, ast.Call):
             continue
         if isinstance(node.func, ast.Name):
-            spelling = node.func.id
+            spelling = aliases.get(node.func.id, node.func.id)
             if spelling == "cls":
                 spelling = owners.get(id(node), spelling)
         elif isinstance(node.func, ast.Attribute):
@@ -162,18 +174,14 @@ def scan(root: Path) -> tuple[list[tuple[str, Path, int]], set[str]]:
     src = root / "src"
     found: list[tuple[str, set[str], str, int | None, Path, int, int]] = []
     by_spelling: dict[str, list[tuple[Path, int, float, set[str] | None]]] = {}
-    for top in CALLER_DIRS:
-        for path in sorted((root / top).rglob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-            for spelling, line, npos, keywords in calls(tree):
-                by_spelling.setdefault(spelling, []).append((path, line, npos, keywords))
-            if top == "src":
-                found.extend(
-                    (qual, names, param, index, path, first, last)
-                    for qual, names, param, index, first, last in knobs(
-                        module_name(path, src), tree
-                    )
-                )
+    for top, path, tree in parse_tree(root):
+        for spelling, line, npos, keywords in calls(tree):
+            by_spelling.setdefault(spelling, []).append((path, line, npos, keywords))
+        if top == "src":
+            found.extend(
+                (qual, names, param, index, path, first, last)
+                for qual, names, param, index, first, last in knobs(module_name(path, src), tree)
+            )
     every: list[tuple[str, Path, int]] = []
     set_keys: set[str] = set()
     for qual, names, param, index, path, first, last in found:
@@ -181,7 +189,7 @@ def scan(root: Path) -> tuple[list[tuple[str, Path, int]], set[str]]:
         every.append((key, path, first))
         for name in names:
             for where, line, npos, keywords in by_spelling.get(name, ()):
-                if where == path and first <= line <= last:
+                if in_body(where, line, path, first, last):
                     continue
                 if keywords is None or param in keywords or (
                     index is not None and npos > index
@@ -193,16 +201,16 @@ def scan(root: Path) -> tuple[list[tuple[str, Path, int]], set[str]]:
 def find_problems(root: Path, allow: dict[str, str]) -> tuple[list[str], str]:
     """Unset knobs and stale allow-list entries, plus a one-line count."""
     every, set_keys = scan(root)
-    problems: list[str] = []
+    problems = judge(
+        every,
+        set_keys,
+        allow,
+        root,
+        unused="is set by no caller outside tests",
+        used_word="set by a caller",
+        noun="a knob",
+    )
     keys = {key for key, _path, _line in every}
-    for key, path, line in every:
-        if key in allow:
-            if key in set_keys:
-                problems.append(f"{key} is set by a caller: drop it from ALLOW")
-        elif key not in set_keys:
-            rel = path.relative_to(root)
-            problems.append(f"{rel}:{line}: {key} is set by no caller outside tests")
-    problems.extend(f"ALLOW names {key}, which is not a knob" for key in sorted(set(allow) - keys))
     count = (
         f"{len(every)} defaulted parameters: {len(set_keys & keys)} set by a caller, "
         f"{len(keys & set(allow) - set_keys)} allowed"

@@ -36,6 +36,7 @@ import ast
 import re
 import sys
 from pathlib import Path
+from typing import Iterator
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -152,39 +153,72 @@ def module_name(path: Path, src: Path) -> str:
     return ".".join(parts)
 
 
+def parse_tree(root: Path) -> Iterator[tuple[str, Path, ast.Module]]:
+    """``(top, path, tree)`` of every module in the caller trees under ``root``."""
+    for top in CALLER_DIRS:
+        for path in sorted((root / top).rglob("*.py")):
+            yield top, path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def in_body(where: Path, line: int, path: Path, first: int, last: int) -> bool:
+    """Whether ``where:line`` lies in the definition at ``path:first-last``."""
+    return where == path and first <= line <= last
+
+
+def judge(
+    entries: list[tuple[str, Path, int]],
+    used: set[str],
+    allow: dict[str, str],
+    root: Path,
+    *,
+    unused: str,
+    used_word: str,
+    noun: str,
+) -> list[str]:
+    """Problems of ``(key, path, line)`` entries given the ``used`` keys.
+
+    An entry fails when it is unused and not allowed, or allowed but
+    used; an allow-list key that names no entry fails too.
+    """
+    problems: list[str] = []
+    for key, path, line in entries:
+        if key in allow:
+            if key in used:
+                problems.append(f"{key} is {used_word}: drop it from ALLOW")
+        elif key not in used:
+            problems.append(f"{path.relative_to(root)}:{line}: {key} {unused}")
+    keys = {key for key, _path, _line in entries}
+    problems.extend(f"ALLOW names {key}, which is not {noun}" for key in sorted(set(allow) - keys))
+    return problems
+
+
 def find_problems(root: Path, allow: dict[str, str]) -> list[str]:
     """Unreached definitions and stale allow-list entries under ``root``."""
     src = root / "src"
     uses: dict[str, list[tuple[Path, int]]] = {}
     defs: list[tuple[str, str, Path, int, int]] = []
-    for top in CALLER_DIRS:
-        for path in sorted((root / top).rglob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-            for name, line in references(path, tree):
-                uses.setdefault(name, []).append((path, line))
-            if top == "src":
-                defs.extend(
-                    (qual, name, path, first, last)
-                    for qual, name, first, last in definitions(module_name(path, src), tree)
-                )
-
-    problems: list[str] = []
-    defined: set[str] = set()
-    for qual, name, path, first, last in defs:
-        defined.add(qual)
-        reached = any(
-            not (where == path and first <= line <= last) for where, line in uses.get(name, ())
-        )
-        if qual in allow:
-            if reached:
-                problems.append(f"{qual} is reached: drop it from ALLOW")
-        elif not reached:
-            rel = path.relative_to(root)
-            problems.append(f"{rel}:{first}: {qual} has no caller outside tests")
-    problems.extend(
-        f"ALLOW names {qual}, which is not defined" for qual in sorted(set(allow) - defined)
+    for top, path, tree in parse_tree(root):
+        for name, line in references(path, tree):
+            uses.setdefault(name, []).append((path, line))
+        if top == "src":
+            defs.extend(
+                (qual, name, path, first, last)
+                for qual, name, first, last in definitions(module_name(path, src), tree)
+            )
+    reached = {
+        qual
+        for qual, name, path, first, last in defs
+        if any(not in_body(where, line, path, first, last) for where, line in uses.get(name, ()))
+    }
+    return judge(
+        [(qual, path, first) for qual, _name, path, first, _last in defs],
+        reached,
+        allow,
+        root,
+        unused="has no caller outside tests",
+        used_word="reached",
+        noun="defined",
     )
-    return problems
 
 
 def main() -> int:

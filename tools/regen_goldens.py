@@ -23,11 +23,11 @@ are left out here too).
 
 Usage, from the repository root::
 
-    PYTHONPATH=src python tools/regen_goldens.py          # rewrite the file
-    PYTHONPATH=src python tools/regen_goldens.py --check  # compare only
+    PYTHONPATH=src python tools/regen_goldens.py  # rewrite the file
 
-Regenerate only for a change that is meant to move results, and say so
-where the change is recorded.
+To compare without rewriting, run ``pytest tests/goldens -q``, which
+names each digest that moved.  Regenerate only for a change that is
+meant to move results, and say so where the change is recorded.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import sys
 from pathlib import Path
 from typing import Any, Callable
 
@@ -167,17 +166,8 @@ def cases() -> dict[str, Callable[[], str]]:
     return out
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     digests = {name: compute() for name, compute in cases().items()}
-    if "--check" in argv:
-        pinned = json.loads(GOLDENS.read_text(encoding="utf-8"))
-        moved = sorted(
-            k for k in digests.keys() | pinned.keys() if digests.get(k) != pinned.get(k)
-        )
-        for name in moved:
-            print(f"moved: {name}", file=sys.stderr)
-        print(f"goldens: {len(digests) - len(moved)}/{len(digests)} match")
-        return len(moved)
     GOLDENS.parent.mkdir(parents=True, exist_ok=True)
     GOLDENS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(digests)} digests to {GOLDENS.relative_to(REPO)}")
@@ -185,4 +175,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit(main())
