@@ -9,18 +9,19 @@ figures and tables.
 
 Typical use::
 
-    from repro import WorkDistributionTuner
+    from repro import tune_scenario
 
-    tuner = WorkDistributionTuner()
-    tuner.train()                       # 7200-experiment training grid
-    outcome = tuner.tune(3170.0)        # SAML, 1000 iterations
-    print(outcome.config.describe(), outcome.speedup_vs_host_only)
+    # SAML on the paper's cell: trains once (7200-experiment grid), then
+    # anneals 1000 iterations and compares with the EM optimum.
+    cell = tune_scenario("dna-paper", "emil", method="SAML", iterations=1000)
+    print(cell.report.config.describe(), cell.report.speedup_vs_host_only)
 
 Subpackages
 -----------
 ``repro.core``
     Parameter space (Table I), simulated annealing (Fig. 3), the
-    EM/EML/SAM/SAML methods (Table II), training pipeline and tuner.
+    EM/EML/SAM/SAML methods (Table II), training pipeline and the
+    tuning entry points.
 ``repro.machines``
     Platform substrate: specs (Table III), the named-platform registry,
     affinity placement, analytic performance model, noisy measurement
@@ -55,8 +56,6 @@ from .core import (
     SimulatedAnnealing,
     SystemConfiguration,
     TuningOptions,
-    TuningOutcome,
-    WorkDistributionTuner,
     platform_space,
     run_em,
     run_eml,
@@ -104,8 +103,6 @@ __all__ = [
     "SimulatedAnnealing",
     "SystemConfiguration",
     "TuningOptions",
-    "TuningOutcome",
-    "WorkDistributionTuner",
     "MatrixResult",
     "ScenarioReport",
     "platform_space",

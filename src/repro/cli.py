@@ -30,13 +30,13 @@ capped iteration budget — the CI smoke configuration.
 halving race over the searcher catalogue (``sh:<rung0>x<eta>[:<A+B>]``,
 see :mod:`repro.core.portfolio`), and ``--transfer`` warm-starts ML
 training from already-tuned neighbor cells (:mod:`repro.ml.transfer`);
-both apply to ``tune``-like artifacts (``campaign``, ``matrix``,
-``ingest --tune``, ``submit``).  The ``portfolio`` artifact races one
-cell and prints the full rung-by-rung ledger.  Passing ``--store`` to
-``campaign``/``matrix``/``portfolio`` binds the durable result store
-for the run, so EM references, measured training grids, and fitted
-models persist and are reused across processes (see
-``docs/portfolio.md``).
+both apply to ``tune`` and the ``tune``-like artifacts (``campaign``,
+``matrix``, ``ingest --tune``, ``submit``).  The ``portfolio``
+artifact races one cell and prints the full rung-by-rung ledger.
+Passing ``--store`` to ``tune``/``campaign``/``matrix``/``portfolio``
+binds the durable result store for the run, so EM references, measured
+training grids, and fitted models persist and are reused across
+processes (see ``docs/portfolio.md``).
 
 ``ingest`` measures a FASTA file (``--fasta``, default: the bundled
 sample) into a positive/shuffled-background workload pair
@@ -261,51 +261,39 @@ def _print_accuracy_table(t, title: str) -> None:
     print()
 
 
-def _run_tune(platform, workload, args, engine) -> int:
+def _run_tune(platform, workload, args) -> int:
     """One end-to-end tuning run: method + engine -> suggested config."""
-    from .core.methods import check_iterations, check_size_mb, run_method
-    from .core.tuner import WorkDistributionTuner
+    from .core.campaign import tune_platform
 
-    method = (args.method or "SAML").upper()
+    size_mb = args.size_mb if args.size_mb is not None else workload.sequence_mb
+    restore_store = _bind_store(args)
     try:
-        check_iterations(args.iterations)
-        tuner = WorkDistributionTuner(platform, workload, seed=args.seed)
-        ml = None
-        if method in ("EML", "SAML"):
-            platform.require_device(f"{method} needs trained predictors — use EM or SAM")
-            ml = tuner.models.evaluator()
-        size_mb = args.size_mb if args.size_mb is not None else workload.sequence_mb
-        check_size_mb(size_mb)
-        result = run_method(
-            method,
-            tuner.space,
-            tuner.sim,
-            size_mb,
-            ml=ml,
+        report = tune_platform(
+            platform,
+            method=args.method or "SAML",
+            size_mb=size_mb,
             iterations=args.iterations,
             seed=args.seed,
-            engine=engine,
-            shards=args.shards,
-            refine=args.refine,
-            processes=args.processes,
+            workload=workload,
+            options=_cli_options(args, engine_default=None),
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        restore_store()
     print(
-        f"{method} suggestion for a {size_mb:g} MB {workload.name} "
+        f"{report.method} suggestion for a {size_mb:g} MB {workload.name} "
         f"workload on {platform.name}:"
     )
-    print(f"  configuration      : {result.config.describe()}")
-    print(f"  measured time      : {result.measured_time:.3f} s")
-    print(f"  search evaluations : {result.search_evaluations}")
-    print(f"  timed experiments  : {result.experiments}")
-    if engine is not None:
-        stats = engine.stats
+    print(f"  configuration      : {report.config.describe()}")
+    print(f"  measured time      : {report.measured_time:.3f} s")
+    print(f"  search evaluations : {report.search_evaluations}")
+    print(f"  timed experiments  : {report.experiments}")
+    if args.engine is not None:
         print(
             f"  engine             : {args.engine} "
-            f"(batches={stats.batches}, evaluations={stats.evaluations}, "
-            f"cache hits={stats.cache_hits})"
+            f"(batches={report.engine_batches}, cache hits={report.engine_cache_hits})"
         )
     return 0
 
@@ -340,7 +328,7 @@ def _cli_options(args, *, engine_default: str | None = "cached+batched"):
 def _bind_store(args):
     """Bind the durable result store when ``--store`` was passed.
 
-    Campaign/matrix/portfolio runs read EM references, training grids,
+    Tune/campaign/matrix/portfolio runs read EM references, training grids,
     and fitted models through the bound store and persist fresh ones —
     the cross-process reuse tier of :mod:`repro.ml.transfer`.  Returns
     a restore callable (no-op without ``--store``).
@@ -976,8 +964,8 @@ def main(argv: list[str] | None = None) -> int:
         help="race a successive-halving searcher portfolio instead of a "
         "single method: `sh:<rung0>x<eta>[:<A+B+...>]`, e.g. "
         "`sh:125x2:SAM+RS+GA` (bare `--portfolio` races the full "
-        "catalogue at 125x2); applies to campaign/matrix/submit and "
-        "the `portfolio` artifact",
+        "catalogue at 125x2); applies to tune/campaign/matrix/submit "
+        "and the `portfolio` artifact",
     )
     parser.add_argument(
         "--fasta", default=None,
@@ -1019,7 +1007,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--store", default=None,
         help="path of the durable JSON-lines result store (`serve`/`store` "
-        "default: results.jsonl); passing it to `campaign`/`matrix`/"
+        "default: results.jsonl); passing it to `tune`/`campaign`/`matrix`/"
         "`portfolio` persists EM references and transfer-training "
         "artifacts across runs",
     )
@@ -1065,6 +1053,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
 
     try:
+        # Rejects a bad ``--engine``/``--batch-size`` before any work;
         # ``tune`` and the fig9/table studies evaluate directly unless
         # ``--engine`` names a backend.
         engine = _cli_options(args, engine_default=None).engine_instance()
@@ -1093,7 +1082,7 @@ def main(argv: list[str] | None = None) -> int:
         "portfolio": lambda: _run_portfolio(args, workload, platform),
         "store": lambda: _run_store(args),
         "submit": lambda: _run_submit(args, workload, platform),
-        "tune": lambda: _run_tune(platform, workload, args, engine),
+        "tune": lambda: _run_tune(platform, workload, args),
     }
     run = runners.get(want, lambda: _run_studies(want, args, platform, workload, engine))
     code = run() or 0

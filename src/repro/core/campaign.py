@@ -354,7 +354,6 @@ def tune_platform(
         models = cell_models(
             spec,
             workload_spec if workload_spec is not None else workload,
-            space,
             seed=seed,
             transfer=opts.transfer,
         )

@@ -5,7 +5,6 @@
 declared once, here.  :func:`~repro.core.campaign.tune_platform`,
 :func:`~repro.core.campaign.tune_scenario`,
 :func:`~repro.core.campaign.tune_matrix`,
-:meth:`~repro.core.tuner.WorkDistributionTuner.tune`,
 :meth:`~repro.service.store.CellKey.for_request`, the CLI and the
 service all take them as one ``options=`` argument (``None`` means the
 defaults), so there is a single path from a knob to the code it drives.

@@ -8,8 +8,8 @@ half of them, evaluating on the other half.  This module holds the
 pieces of that pipeline: the grid (:func:`space_training_data`), the
 fit (:func:`train_models`) and the held-out evaluation
 (:func:`evaluate_models`).  :func:`repro.ml.transfer.cell_models` is
-the one place that puts them together for a cell; the tuner and the
-experiment contexts train through it.
+the one place that puts them together for a cell; the tuning entry
+points and the experiment contexts train through it.
 """
 
 from __future__ import annotations

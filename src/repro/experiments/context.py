@@ -2,11 +2,10 @@
 
 Every figure/table module needs the same expensive preliminaries (the
 7200-experiment training grid and the fitted predictors).  An
-:class:`ExperimentContext` takes them from a
-:class:`~repro.core.tuner.WorkDistributionTuner` once and is passed
-around by the benchmarks, so regenerating all artifacts costs one
-training run — and a cell the tuning paths already trained in this
-process costs none.
+:class:`ExperimentContext` takes the models from
+:func:`~repro.ml.transfer.cell_models` once and is passed around by the
+benchmarks, so regenerating all artifacts costs one training run — and
+a cell the tuning paths already trained in this process costs none.
 """
 
 from __future__ import annotations
@@ -15,14 +14,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ..core.evaluators import MLEvaluator
-from ..core.params import ParameterSpace
-from ..core.training import TrainedModels
-from ..core.tuner import WorkDistributionTuner
+from ..core.params import ParameterSpace, cell_space
+from ..core.training import TrainedModels, space_training_data, training_sizes_for
 from ..dna.sequence import GENOME_ORDER, GENOMES
-from ..dna.workloads import DEFAULT_WORKLOAD_KEY, WorkloadSpec, get_workload
+from ..dna.workloads import DEFAULT_WORKLOAD_KEY, WorkloadSpec, get_workload, resolve_workload
 from ..machines.perfmodel import DNA_SCAN, WorkloadProfile
 from ..machines.simulator import PlatformSimulator
 from ..machines.spec import EMIL, PlatformSpec
+from ..ml.transfer import cell_models
 
 
 @dataclass
@@ -50,20 +49,26 @@ def build_context(
     workload: WorkloadProfile | WorkloadSpec | str = DNA_SCAN,
     seed: int = 0,
 ) -> ExperimentContext:
-    """Train the cell's models through a tuner (the expensive setup).
+    """Train the cell's models (the expensive setup).
 
-    The simulator, the space and the trained models are those of
-    ``WorkDistributionTuner(platform, workload, seed=seed)``: the space
-    is the cell's fitted configuration space (the paper's Table I space
-    for Emil), and a registered workload name or
+    The space is the cell's fitted configuration space (the paper's
+    Table I space for Emil), and a registered workload name or
     :class:`~repro.dna.workloads.WorkloadSpec` rescales the training
-    sizes to its input scale.
+    sizes to its input scale.  The models come from
+    :func:`~repro.ml.transfer.cell_models` (a memory or store hit when
+    the cell was trained before); the measured grid is kept on them so
+    their held-out evaluations can be read.
     """
     platform.require_device(
         "experiment contexts need both training grids — use the campaign/tune paths"
     )
-    tuner = WorkDistributionTuner(platform, workload, seed=seed)
-    return ExperimentContext(sim=tuner.sim, models=tuner.train(), space=tuner.space, seed=seed)
+    workload_spec, profile = resolve_workload(workload)
+    space = cell_space(platform, workload_spec)
+    sim = PlatformSimulator(platform, profile, seed=seed)
+    pair = cell_models(platform, workload, seed=seed)
+    data = space_training_data(sim, space, training_sizes_for(workload_spec))
+    models = TrainedModels(pair.host_model, pair.device_model, data, seed)
+    return ExperimentContext(sim=sim, models=models, space=space, seed=seed)
 
 
 @lru_cache(maxsize=2)

@@ -436,7 +436,6 @@ def _fit_warm(donor: CellModels, data, stages: int, seed: int):
 def cell_models(
     platform,
     workload,
-    space=None,
     *,
     seed: int = 0,
     transfer: bool = False,
@@ -444,11 +443,11 @@ def cell_models(
     """Trained per-side predictors for one cell, warm-started if asked.
 
     With ``transfer=False`` this is the cold training pipeline — the
-    only code that trains a cell: :func:`~repro.core.tuner.WorkDistributionTuner.train`,
-    the experiment contexts and :func:`~repro.core.campaign.tune_platform`
-    all come here.  Measured grids and fitted models read through /
-    persist to the bound :class:`~repro.service.store.ResultStore` and a
-    per-process registry.
+    only code that trains a cell: :func:`~repro.core.campaign.tune_platform`
+    (and so CLI ``tune``) and the experiment contexts all come here.  The
+    grid spans the cell's :func:`~repro.core.params.cell_space`.
+    Measured grids and fitted models read through / persist to the bound
+    :class:`~repro.service.store.ResultStore` and a per-process registry.
 
     With ``transfer=True`` the cell warm-starts from its
     :func:`transfer_donor`: the donor chain is materialized recursively
@@ -471,8 +470,7 @@ def cell_models(
         "use the measurement-based methods (EM/SAM) instead"
     )
     wspec, profile = resolve_workload(workload)
-    if space is None:
-        space = cell_space(pspec, wspec)
+    space = cell_space(pspec, wspec)
 
     full_sizes = training_sizes_for(wspec)
     donor_cell = (

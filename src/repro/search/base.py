@@ -22,7 +22,7 @@ exact-budget contract holds for every engine and batch size.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,8 +40,6 @@ class SearchResult:
     best_config: SystemConfiguration
     best_value: float
     evaluations: int
-    #: best-so-far objective after each evaluation (length == evaluations)
-    trace: list[float] = field(repr=False, default_factory=list)
 
 
 class BudgetTracker:
@@ -66,7 +64,6 @@ class BudgetTracker:
             best_config=None,  # type: ignore[arg-type]
             best_value=float("inf"),
             evaluations=0,
-            trace=[],
         )
 
     @property
@@ -97,7 +94,6 @@ class BudgetTracker:
             if value < result.best_value:
                 result.best_value = value
                 result.best_config = config
-            result.trace.append(result.best_value)
         assert result.evaluations <= self.budget, (
             f"searcher exceeded its budget: {result.evaluations} > {self.budget}"
         )

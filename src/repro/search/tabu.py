@@ -49,8 +49,8 @@ class TabuSearch(BudgetedSearch):
 
         The sampled neighborhood is drawn up front, tabu-filtered, and
         scored as one engine batch (the tabu list only changes between
-        moves, so the filtered candidate set — and hence the trace —
-        matches the historical one-at-a-time loop).
+        moves, so the filtered candidate set — and hence the scored
+        sequence — matches the historical one-at-a-time loop).
         """
         check_budget(budget)
         rng = rng_for(self.seed)

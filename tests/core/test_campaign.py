@@ -9,7 +9,8 @@ import pytest
 
 from repro.core import TuningOptions, campaign, platform_space, tune_matrix, tune_platform
 from repro.core.campaign import MatrixResult
-from repro.machines import MANYCORE, get_platform, platform_names
+from repro.machines import FATHOST, MANYCORE, get_platform, platform_names
+from repro.ml.transfer import transfer_stats
 from repro.dna.workloads import get_workload
 
 SIZE_MB = 600.0
@@ -71,6 +72,35 @@ class TestTunePlatform:
         r = tune_platform("manycore", method="EM", size_mb=SIZE_MB)
         assert r.experiments == r.space_size
         assert r.quality_vs_em == pytest.approx(1.0)
+
+    def test_saml_beats_both_baselines_on_large_input(self):
+        r = tune_platform("emil", method="SAML", size_mb=3170.0, iterations=500)
+        assert r.speedup_vs_host_only > 1.2
+        assert r.speedup_vs_device_only > 1.5
+        assert 0.0 < r.config.host_fraction < 100.0
+        assert r.em_time <= r.measured_time + 1e-12
+
+    def test_small_input_keeps_work_on_host(self):
+        r = tune_platform("emil", method="EM", size_mb=100.0)
+        assert r.config.host_fraction == 100.0
+
+    def test_sam_needs_no_training(self):
+        before = transfer_stats().as_dict()
+        r = tune_platform("emil", method="SAM", size_mb=2000.0, iterations=100, seed=2)
+        assert r.method == "SAM"
+        assert r.training_experiments == 0
+        assert transfer_stats().as_dict() == before
+
+    def test_space_fits_the_named_platform(self):
+        r = tune_platform("fathost", method="SAM", size_mb=SIZE_MB, iterations=ITERS)
+        space = platform_space(FATHOST)
+        assert r.platform == FATHOST.name
+        assert r.space_size == len(space)
+        assert max(space.host_threads) == FATHOST.host_hardware_threads
+
+    def test_unknown_platform_rejected(self):
+        with pytest.raises(ValueError, match="unknown platform"):
+            tune_platform("cray-1", method="SAM")
 
 
 class TestFleet:

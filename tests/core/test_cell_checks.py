@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from repro import WorkDistributionTuner
 from repro.cli import main
 from repro.core import TuningOptions, campaign, tune_matrix, tune_platform, tune_scenario
 from repro.core.params import ParameterSpace
@@ -13,9 +12,11 @@ from repro.core.portfolio import run_portfolio
 from repro.core.training import generate_training_data, train_models
 from repro.machines import PlatformSimulator
 from repro.ml import LinearRegression
+from repro.ml.transfer import transfer_stats
 from repro.service.store import CellKey
 
 BAD_SIZES = (0.0, -100.0, math.nan, math.inf)
+BAD_CLI_SIZES = ("-5", "nan", "inf")
 
 SMALL_SPACE = ParameterSpace(
     host_threads=(12, 48),
@@ -34,17 +35,21 @@ class TestSizeValidation:
             tune_platform("emil", method="SAM", size_mb=size_mb, iterations=10)
         assert set(campaign._EM_CACHE) == before
 
-    @pytest.mark.parametrize("size_mb", (math.nan, math.inf))
-    def test_tuner_rejects_a_non_finite_size(self, size_mb):
-        tuner = WorkDistributionTuner(space=SMALL_SPACE, seed=0)
-        with pytest.raises(ValueError, match="size_mb"):
-            tuner.tune(size_mb, method="SAM", iterations=10)
-
     @pytest.mark.parametrize("size_mb", ("0", "-100", "nan"))
     def test_cli_tune_rejects(self, size_mb, capsys):
         code = main(["tune", "--method", "SAM", "--iterations", "10", "--size-mb", size_mb])
         assert code == 2
         assert "size_mb" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size_mb", BAD_CLI_SIZES)
+    def test_cli_ml_tune_rejects_before_training(self, size_mb, capsys):
+        before = transfer_stats().cold_fits
+        # A seed no other case trains, so a fit here would be a cold one.
+        seed = str(7310 + BAD_CLI_SIZES.index(size_mb))
+        code = main(["tune", "--method", "SAML", "--size-mb", size_mb, "--seed", seed])
+        assert code == 2
+        assert "size_mb" in capsys.readouterr().err
+        assert transfer_stats().cold_fits == before
 
     @pytest.mark.parametrize("size_mb", BAD_SIZES)
     def test_cell_key_rejects_a_given_size(self, size_mb):
@@ -67,12 +72,6 @@ class TestIterationsValidation:
             tune_platform("emil", method=method, iterations=iterations, seed=seed)
         assert set(campaign._EM_CACHE) == before
 
-    @pytest.mark.parametrize("method", METHODS)
-    def test_tuner_rejects_for_every_method(self, method):
-        tuner = WorkDistributionTuner(space=SMALL_SPACE, seed=0)
-        with pytest.raises(ValueError, match="iterations"):
-            tuner.tune(1000.0, method=method, iterations=0)
-
     def test_matrix_rejects_before_fanning_out(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("a matrix with a bad budget reached dispatch")
@@ -93,10 +92,13 @@ class TestIterationsValidation:
         with pytest.raises(ValueError, match="iterations"):
             CellKey.for_request("dna-paper", "emil", method=method, iterations=iterations)
 
-    def test_cli_tune_rejects(self, capsys):
-        code = main(["tune", "--method", "EM", "--iterations", "0"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_cli_tune_rejects(self, method, capsys):
+        before = transfer_stats().cold_fits
+        code = main(["tune", "--method", method, "--iterations", "0", "--seed", "7320"])
         assert code == 2
         assert "iterations" in capsys.readouterr().err
+        assert transfer_stats().cold_fits == before
 
 
 def test_engine_counters_stay_out_of_report_equality():

@@ -48,6 +48,44 @@ SMALL_SPACE = ParameterSpace(
 ALL_SEARCHERS = [RandomSearch, HillClimbing, TabuSearch, GeneticAlgorithm, AntColony]
 
 
+class Recording:
+    """An objective that logs every ``(config, value)`` it scores, in order.
+
+    It forwards ``evaluate_batch`` when the wrapped objective has one, so
+    a batched engine keeps its vectorized path.
+    """
+
+    def __init__(self, objective):
+        self.objective = objective
+        self.seen = []
+        if hasattr(objective, "evaluate_batch"):
+            self.evaluate_batch = self._evaluate_batch
+
+    def __call__(self, config):
+        value = self.objective(config)
+        self.seen.append((config, value))
+        return value
+
+    def _evaluate_batch(self, configs):
+        values = self.objective.evaluate_batch(configs)
+        self.seen.extend(zip(configs, values))
+        return values
+
+
+def expected_seen(reference: Recording, engine: EvaluationEngine) -> list:
+    """What ``engine``'s objective sees when the serial run saw ``reference``.
+
+    A cache passes each configuration through once, at its first
+    occurrence; every other backend passes the whole sequence.
+    """
+    if not isinstance(engine, CachedEngine):
+        return reference.seen
+    first: dict = {}
+    for config, value in reference.seen:
+        first.setdefault(config, value)
+    return list(first.items())
+
+
 def analytic_objective(config) -> float:
     return (
         0.5
@@ -240,14 +278,14 @@ class TestMakeEngine:
 
 class TestBudgetTracker:
     def test_truncates_final_batch_to_budget(self):
-        track = BudgetTracker(analytic_objective, 10, SerialEngine())
+        record = Recording(analytic_objective)
+        track = BudgetTracker(record, 10, SerialEngine())
         sizes = []
         with pytest.raises(BudgetExhausted):
             while True:
                 sizes.append(len(track.evaluate_many(random_configs(4))))
         assert sizes == [4, 4, 2]  # final batch truncated, never over budget
-        assert track.result.evaluations == 10
-        assert len(track.result.trace) == 10
+        assert track.result.evaluations == len(record.seen) == 10
 
     def test_raises_once_budget_is_spent(self):
         track = BudgetTracker(analytic_objective, 3, SerialEngine())
@@ -274,33 +312,30 @@ class TestBudgetTracker:
                 analytic_objective, budget=97
             )
             assert result.evaluations == 97
-            assert len(result.trace) == 97
 
 
 class TestEngineDeterminism:
-    """Acceptance: identical best configs/traces across all backends."""
+    """Acceptance: identical best configs and scored sequences across all backends."""
 
     @pytest.mark.parametrize("cls", ALL_SEARCHERS)
     def test_searcher_identical_across_engines(self, cls):
-        reference = cls(SPACE, seed=5).run(analytic_objective, budget=120)
+        reference_record = Recording(analytic_objective)
+        reference = cls(SPACE, seed=5).run(reference_record, budget=120)
         for engine in engine_variants():
-            result = cls(SPACE, seed=5, engine=engine).run(
-                analytic_objective, budget=120
-            )
-            assert result.trace == reference.trace, engine.name
+            record = Recording(analytic_objective)
+            result = cls(SPACE, seed=5, engine=engine).run(record, budget=120)
+            assert record.seen == expected_seen(reference_record, engine), engine.name
             assert result.best_config == reference.best_config, engine.name
             assert result.best_value == reference.best_value, engine.name
 
     @pytest.mark.parametrize("cls", ALL_SEARCHERS)
     def test_searcher_identical_on_ml_objective(self, cls, ml):
-        reference = cls(SMALL_SPACE, seed=1).run(
-            EvaluatorObjective(ml, 3170.0), budget=60
-        )
+        reference_record = Recording(EvaluatorObjective(ml, 3170.0))
+        reference = cls(SMALL_SPACE, seed=1).run(reference_record, budget=60)
         for engine in engine_variants():
-            result = cls(SMALL_SPACE, seed=1, engine=engine).run(
-                EvaluatorObjective(ml, 3170.0), budget=60
-            )
-            assert result.trace == reference.trace, engine.name
+            record = Recording(EvaluatorObjective(ml, 3170.0))
+            result = cls(SMALL_SPACE, seed=1, engine=engine).run(record, budget=60)
+            assert record.seen == expected_seen(reference_record, engine), engine.name
             assert result.best_config == reference.best_config, engine.name
 
     @pytest.mark.parametrize("method", ["SAM", "SAML", "EML"])

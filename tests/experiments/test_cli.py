@@ -90,6 +90,27 @@ class TestEngineFlags:
         assert main(["table2", "--engine", "batched"]) == 0
 
 
+class TestTuneStore:
+    def test_second_tune_reads_the_models_from_the_store(self, capsys, tmp_path, monkeypatch):
+        from repro.ml import transfer
+
+        store = tmp_path / "store.jsonl"
+        # A seed no other case trains, so the first run fits and stores.
+        args = ["tune", "--method", "SAML", "--iterations", "20", "--seed", "7330",
+                "--store", str(store)]
+        assert main(args) == 0
+        first = capsys.readouterr().out
+        assert store.stat().st_size > 0
+        # A fresh process: an empty model registry over the same file.
+        monkeypatch.setattr(transfer, "_MODEL_CACHE", {})
+        stats = transfer.transfer_stats()
+        hits, cold = stats.models_store_hits, stats.cold_fits
+        assert main(args) == 0
+        assert capsys.readouterr().out == first
+        assert stats.models_store_hits == hits + 1
+        assert stats.cold_fits == cold
+
+
 class TestSeedsFlag:
     @pytest.mark.parametrize("artifact, seeds", [("summary", "0"), ("table6", "-2")])
     def test_non_positive_seeds_rejected_before_training(

@@ -5,12 +5,12 @@ and the engine/runtime boundary.
 import numpy as np
 import pytest
 
-from repro import WorkDistributionTuner
 from repro.core import (
     MeasurementEvaluator,
     ParameterSpace,
     run_em,
     run_saml,
+    tune_platform,
 )
 from repro.core.training import generate_training_data, train_models
 from repro.dna import DNASequenceAnalysis, GENOMES, genome_sample
@@ -61,10 +61,11 @@ class TestFullPipeline:
         """The automaton's table footprint flows into the platform model."""
         app = DNASequenceAnalysis()
         profile = app.workload_profile()
-        tuner = WorkDistributionTuner(workload=profile, space=SPACE, seed=0)
-        outcome = tuner.tune(3170.0, method="SAM", iterations=300)
-        assert outcome.result.measured_time > 0
-        assert outcome.speedup_vs_host_only > 1.0
+        report = tune_platform(
+            "emil", method="SAM", size_mb=3170.0, iterations=300, workload=profile
+        )
+        assert report.measured_time > 0
+        assert report.speedup_vs_host_only > 1.0
 
     def test_configuration_executes_on_runtime_and_engine(self, sim):
         """The tuned configuration drives both the simulated runtime and

@@ -10,7 +10,7 @@ historical results would silently drift.
 
 import pytest
 
-from repro.core import WorkDistributionTuner
+from repro.core import tune_platform
 from repro.core.params import platform_space, workload_space
 from repro.dna.workloads import DNA_PAPER
 from repro.machines import (
@@ -83,23 +83,18 @@ class TestSpaceBitIdentity:
 
 
 class TestTunerBitIdentity:
-    def test_sam_suggestion_identical_on_emil(self):
-        legacy = WorkDistributionTuner(seed=0).tune(
-            600.0, method="SAM", iterations=150
-        )
-        named = WorkDistributionTuner(workload="dna-paper", seed=0).tune(
-            600.0, method="SAM", iterations=150
-        )
-        assert named.result.config == legacy.result.config
-        assert named.result.measured_time == legacy.result.measured_time
-        assert named.host_only.value == legacy.host_only.value
+    """``tune_platform``'s default raw profile and the named ``dna-paper``
+    workload tune to the identical report."""
 
-    def test_sam_suggestion_identical_on_a_non_emil_platform(self):
-        legacy = WorkDistributionTuner("slowlink", seed=3).tune(
-            600.0, method="SAM", iterations=150
-        )
-        named = WorkDistributionTuner("slowlink", "dna-paper", seed=3).tune(
-            600.0, method="SAM", iterations=150
-        )
-        assert named.result.config == legacy.result.config
-        assert named.result.measured_time == legacy.result.measured_time
+    @pytest.mark.parametrize("platform, seed", [("emil", 0), ("slowlink", 3)])
+    def test_sam_report_identical(self, platform, seed):
+        kwargs = {"method": "SAM", "size_mb": 600.0, "iterations": 150, "seed": seed}
+        legacy = tune_platform(platform, workload=DNA_SCAN, **kwargs)
+        named = tune_platform(platform, workload="dna-paper", **kwargs)
+        assert named == legacy
+
+    def test_saml_report_identical_on_emil(self):
+        kwargs = {"method": "SAML", "size_mb": 600.0, "iterations": 150}
+        legacy = tune_platform("emil", workload=DNA_SCAN, **kwargs)
+        named = tune_platform("emil", workload="dna-paper", **kwargs)
+        assert named == legacy

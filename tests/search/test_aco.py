@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from test_metaheuristics import Recording
+
 from repro.core import ParameterSpace
 from repro.search import AntColony, RandomSearch
 
@@ -25,9 +27,13 @@ class TestContract:
         result = AntColony(SPACE, seed=0).run(objective, budget=123)
         assert result.evaluations == 123
 
-    def test_trace_monotone(self):
-        result = AntColony(SPACE, seed=1).run(objective, budget=200)
-        assert all(a >= b for a, b in zip(result.trace, result.trace[1:]))
+    def test_best_is_the_first_minimum_scored(self):
+        record = Recording(objective)
+        result = AntColony(SPACE, seed=1).run(record, budget=200)
+        values = [value for _, value in record.seen]
+        assert len(values) == 200
+        assert result.best_value == min(values)
+        assert result.best_config == record.seen[values.index(min(values))][0]
 
     def test_deterministic_by_seed(self):
         a = AntColony(SPACE, seed=2).run(objective, budget=100)

@@ -70,7 +70,6 @@ ALLOW: dict[str, str] = {
     "repro.service.client:submit.retry": "test seam: chaos tests inject a retry policy",
     "repro.service.server:CampaignServer.__init__.retry": "test seam: chaos retry policy",
     "repro.service.store:ResultStore.__init__.schema_version": "test seam: stale-schema stores",
-    "repro.core.tuner:WorkDistributionTuner.__init__.space": "test seam: small spaces",
     "repro.dna.parem:parem_scan.executor": "test seam: drives the thread-pool chunk path",
     "repro.dna.regex:CompiledRegex.count.start_state": "test seam: resumes a scan mid-stream",
     "repro.dna.sequence:generate_sequence.unknown_rate": "test seam: sequences holding Ns",

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Pinned digests of every searcher and tuning method.
+"""Pinned digests of every searcher, tuning method and CLI `tune` line.
 
 ``tests/goldens/digests.json`` maps one case name to one sha256 digest.
 ``tests/goldens/test_goldens.py`` recomputes every case and compares, so
@@ -21,6 +21,10 @@ node.  Each digest hashes the codec encoding of the report's compared
 fields (engine counters are not part of a report's equality, so they
 are left out here too).
 
+CLI cases (``cli/<command line>``) run ``python -m repro``'s
+:func:`~repro.cli.main` in-process on the ``tune`` command lines of
+:data:`CLI_COMMANDS` and hash the text it prints to stdout.
+
 Usage, from the repository root::
 
     PYTHONPATH=src python tools/regen_goldens.py  # rewrite the file
@@ -32,8 +36,10 @@ meant to move results, and say so where the change is recorded.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 from pathlib import Path
 from typing import Any, Callable
@@ -61,6 +67,14 @@ METHOD_CELLS = tuple(
     ("SAM", "dna-paper@manycore", "manycore", 3170.0, None),
 )
 METHOD_ITERATIONS = 200
+
+#: ``python -m repro`` command lines whose stdout is pinned.
+CLI_COMMANDS = (
+    "tune --method SAML --iterations 300",
+    "tune --method SAM --iterations 200 --platform fathost",
+    "tune --method EML",
+    "tune --platform quadphi --workload short-read --method SAML --iterations 200 --seed 3",
+)
 
 
 def _sha256(payload: Any) -> str:
@@ -112,7 +126,7 @@ def search_case(name: str, objective: str, seed: int) -> str:
     if objective == "measured":
         evaluator = MeasurementEvaluator(sim)
     else:
-        evaluator = cell_models(spec, workload_spec, space, seed=0).evaluator()
+        evaluator = cell_models(spec, workload_spec, seed=0).evaluator()
     size_mb = workload_spec.sequence_mb
     if name == "SA":
         record = _Recording(EnergyObjective(evaluator, size_mb))
@@ -128,7 +142,6 @@ def search_case(name: str, objective: str, seed: int) -> str:
         }[name](space, seed=seed)
         record = _Recording(EvaluatorObjective(evaluator, size_mb))
         res = searcher.run(record, BUDGET)
-        # The best-so-far trace is the running minimum of ``seen``.
         result = _fields(res, ("best_config", "best_value", "evaluations"))
     return _sha256({"result": result, "seen": record.seen})
 
@@ -150,6 +163,18 @@ def method_case(method: str, platform: str, size_mb: float, refine: float | None
     return _sha256(_fields(report, compared))
 
 
+def cli_case(command: str) -> str:
+    """Digest of the stdout of one ``python -m repro`` command line."""
+    from repro.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(command.split())
+    if code != 0:
+        raise RuntimeError(f"`{command}` exited {code}")
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
 def cases() -> dict[str, Callable[[], str]]:
     """Case name -> the function computing its digest."""
     out: dict[str, Callable[[], str]] = {}
@@ -163,6 +188,8 @@ def cases() -> dict[str, Callable[[], str]]:
         out[f"method/{method}/{cell}"] = (
             lambda m=method, p=platform, mb=size_mb, r=refine: method_case(m, p, mb, r)
         )
+    for command in CLI_COMMANDS:
+        out[f"cli/{command}"] = lambda c=command: cli_case(c)
     return out
 
 
