@@ -1,10 +1,11 @@
 """Evaluation-engine and analytic-core throughput benchmarks.
 
 Two tentpole claims live here.  The engine subsystem: scoring candidate
-system configurations through the ML predictor in batches (packed
-tree-ensemble descent over a whole design matrix) beats per-config
-scalar calls by a wide margin, and caching makes annealing-style
-revisits nearly free — all while returning bit-identical values.  The
+system configurations through the ML predictor in batches (one
+columnarized design matrix per part, one lookup-table gather per
+predictor) beats per-config scalar table lookups, and caching makes
+annealing-style revisits nearly free — all while returning
+bit-identical values.  The
 vectorized analytic core: EM space walks and training-grid generation
 pushed through the columnar perf-model/simulator path beat the faithful
 per-experiment scalar loops by well over an order of magnitude, again
@@ -36,7 +37,7 @@ from repro.machines import PlatformSimulator
 
 N_CONFIGS = 2000
 BATCH_SIZE = 64
-MIN_BATCHED_SPEEDUP = 2.0  # acceptance floor; typically ~8-10x
+MIN_BATCHED_SPEEDUP = 2.0  # acceptance floor; typically ~4-5x
 #: Acceptance floor for the vectorized analytic core (ISSUE 4); the EM
 #: walk typically lands ~100x and the training grid ~20-30x.
 MIN_VECTORIZED_SPEEDUP = 10.0
@@ -51,15 +52,17 @@ def test_engine_throughput(benchmark, ctx):
     configs = [ctx.space.random_config(rng) for _ in range(N_CONFIGS)]
     size = 2435.0
 
+    # Compile the predictors' lookup tables once, outside every timing:
+    # the first prediction of a fitted model builds its table.
+    models.evaluator().evaluate(configs[0], size)
+
     def one_engine(engine):
-        # Fresh evaluator per engine: the MLEvaluator's own side cache
-        # must not leak work between timings.
         objective = EvaluatorObjective(models.evaluator(), size)
         t0 = time.perf_counter()
         values = engine.evaluate_batch(objective, configs)
         return time.perf_counter() - t0, values
 
-    def compare():
+    def one_round():
         t_serial, v_serial = one_engine(SerialEngine())
         t_batched, v_batched = one_engine(BatchedEngine(BATCH_SIZE))
         # Cached engine on a revisit-heavy stream: the same configs twice.
@@ -74,6 +77,12 @@ def test_engine_throughput(benchmark, ctx):
         # may add intra-batch duplicate hits on top).
         assert cached.cache_hits >= N_CONFIGS
         return t_serial, t_batched, t_cached
+
+    def compare():
+        # Best of three rounds per engine: each pass takes milliseconds,
+        # so one background hiccup would otherwise swing the ratios.
+        rounds = [one_round() for _ in range(3)]
+        return tuple(min(times) for times in zip(*rounds))
 
     t_serial, t_batched, t_cached = run_once(benchmark, compare)
     # Machine-portable throughput metrics for the CI regression gate

@@ -53,7 +53,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..machines.affinity import DEVICE_AFFINITIES, HOST_AFFINITIES, affinity_domain
+from ..machines.affinity import affinity_domain
 from .energy import ConfigurationEvaluator, Energy
 from .params import (
     SHARE_SUM_TOL,
@@ -361,9 +361,7 @@ def _ml_time_grid(ml) -> Callable:
     """Part-indexed columnar prediction closure over trained predictors."""
 
     def predicted(part: int, threads, codes, mb):
-        domain = HOST_AFFINITIES if part < 0 else DEVICE_AFFINITIES
-        side = "host" if part < 0 else "device"
-        return ml.predict_part(side, threads, [domain[int(c)] for c in codes], mb)
+        return ml.predict_part("host" if part < 0 else "device", threads, codes, mb)
 
     return predicted
 

@@ -18,8 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
+from ..machines.affinity import DEVICE_AFFINITIES, HOST_AFFINITIES
 from ..machines.simulator import PlatformSimulator
-from ..ml.dataset import encode_device_row, encode_host_row
+from ..ml.dataset import encode_device_row, encode_host_row, encode_side_columns
 from ..ml.validation import Regressor
 from .energy import Energy
 from .params import ConfigTable, SystemConfiguration
@@ -134,6 +135,18 @@ class MeasurementEvaluator:
         return [self._cache[key] for key in keys]
 
 
+def _predict_one(model: Regressor, row: list[float]) -> float:
+    """One side's predicted time for one encoded row."""
+    predict_one = getattr(model, "predict_one", None)
+    if predict_one is not None:
+        raw = predict_one(row)
+    else:
+        raw = float(model.predict(np.atleast_2d(np.asarray(row, dtype=np.float64)))[0])
+    # Trees can extrapolate to slightly negative residual sums; a
+    # predicted time below zero is physically meaningless.
+    return float(max(raw, 1e-6))
+
+
 class MLEvaluator:
     """Score configurations with the trained performance predictors.
 
@@ -141,37 +154,21 @@ class MLEvaluator:
     *side* from its raw ``(threads, affinity one-hot, megabytes)`` row —
     the features of Fig. 4 (tree ensembles split on raw values, so no
     normalization precedes them).  A zero-share side costs exactly 0
-    (the runtime skips it), mirroring the measurement path.
+    (the runtime skips it), mirroring the measurement path.  Boosted
+    predictors answer from their compiled lookup tables (see
+    :mod:`repro.ml.boosting`), so a prediction costs one table read per
+    side and nothing is memoized here.
     """
 
     def __init__(self, host_model: Regressor, device_model: Regressor) -> None:
         self.host_model = host_model
         self.device_model = device_model
         self._evaluations = 0
-        # SA revisits configurations; predictions are deterministic, so
-        # per-side memoization saves most of the ensemble traversals.
-        self._side_cache: dict[tuple, float] = {}
 
     @property
     def evaluations(self) -> int:
         """Number of predictions made (not experiments — predictions are free)."""
         return self._evaluations
-
-    def _predict(self, model: Regressor, row: list[float]) -> float:
-        key = (id(model), tuple(row))
-        hit = self._side_cache.get(key)
-        if hit is not None:
-            return hit
-        predict_one = getattr(model, "predict_one", None)
-        if predict_one is not None:
-            raw = predict_one(row)
-        else:
-            raw = float(model.predict(np.atleast_2d(np.asarray(row, dtype=np.float64)))[0])
-        # Trees can extrapolate to slightly negative residual sums; a
-        # predicted time below zero is physically meaningless.
-        value = float(max(raw, 1e-6))
-        self._side_cache[key] = value
-        return value
 
     def evaluate(self, config: SystemConfiguration, size_mb: float) -> Energy:
         """Predict E' = max over the predicted per-part times.
@@ -184,7 +181,7 @@ class MLEvaluator:
         self._evaluations += 1
         host_mb, device_mbs = config.part_megabytes(size_mb)
         t_host = (
-            self._predict(
+            _predict_one(
                 self.host_model,
                 encode_host_row(config.host_threads, config.host_affinity, host_mb),
             )
@@ -192,55 +189,39 @@ class MLEvaluator:
             else 0.0
         )
         t_devices = [
-            self._predict(self.device_model, encode_device_row(slot.threads, slot.affinity, mb))
+            _predict_one(self.device_model, encode_device_row(slot.threads, slot.affinity, mb))
             if mb > 0
             else 0.0
             for slot, mb in zip(config.device_slots, device_mbs)
         ]
         return Energy(t_host, t_devices[0], tuple(t_devices[1:]))
 
-    def _predict_many(self, model: Regressor, rows: list[list[float]]) -> list[float]:
-        """Predict many rows with one ensemble traversal for all misses.
-
-        Bit-identical to calling :meth:`_predict` per row: the tree
-        ensembles produce the same float64 values on the scalar and the
-        vectorized path (same leaves, same accumulation order), and both
-        paths share the side cache and the non-negativity clamp.
-        """
-        values: list[float | None] = [None] * len(rows)
-        miss_pos: list[int] = []
-        miss_rows: list[list[float]] = []
-        for j, row in enumerate(rows):
-            hit = self._side_cache.get((id(model), tuple(row)))
-            if hit is not None:
-                values[j] = hit
-            else:
-                miss_pos.append(j)
-                miss_rows.append(row)
-        if miss_rows:
-            raw = model.predict(np.asarray(miss_rows, dtype=np.float64))
-            for j, r in zip(miss_pos, raw):
-                value = float(max(float(r), 1e-6))
-                self._side_cache[(id(model), tuple(rows[j]))] = value
-                values[j] = value
-        return values  # type: ignore[return-value]
-
-    def predict_part(self, side: str, threads, affinities, mb) -> np.ndarray:
+    def predict_part(self, side: str, threads, codes, mb) -> np.ndarray:
         """Predicted times for one part's configuration columns.
 
         ``side`` selects the host or device predictor; every device of a
         multi-device node shares the device predictor (see
-        :meth:`evaluate`).  Values go through the same side cache and
+        :meth:`evaluate`).  ``codes`` index the side's affinities.  The
+        columns go through one ``model.predict`` call, with the same
         non-negativity clamp as the scalar path.
         """
         if side == "host":
-            model, encode = self.host_model, encode_host_row
+            model, levels = self.host_model, HOST_AFFINITIES
         else:
-            model, encode = self.device_model, encode_device_row
-        rows = [
-            encode(int(t), a, float(m)) for t, a, m in zip(threads, affinities, mb)
-        ]
-        return np.asarray(self._predict_many(model, rows))
+            model, levels = self.device_model, DEVICE_AFFINITIES
+        X = encode_side_columns(threads, codes, mb, levels)
+        return np.maximum(model.predict(X), 1e-6)
+
+    def _side_times(self, side: str, threads, codes, mb) -> list[float]:
+        """:meth:`predict_part` over the rows with a positive share; a
+        zero-share part costs 0."""
+        sel = mb > 0
+        if sel.all():
+            return self.predict_part(side, threads, codes, mb).tolist()
+        out = np.zeros(len(mb))
+        if sel.any():
+            out[sel] = self.predict_part(side, threads[sel], codes[sel], mb[sel])
+        return out.tolist()
 
     def evaluate_batch(
         self, configs: Sequence[SystemConfiguration], size_mb: float
@@ -248,48 +229,29 @@ class MLEvaluator:
         """Predict a whole candidate batch with vectorized ensembles.
 
         Returns exactly what per-config :meth:`evaluate` calls would,
-        but each side's uncached rows go through ``model.predict`` as
-        one design matrix instead of one Python tree walk per row —
-        the hot path :class:`~repro.core.engine.BatchedEngine` exploits.
+        but the batch is columnarized once and each side's rows (every
+        card's, on the device side) go through ``model.predict`` as one
+        design matrix — the hot path
+        :class:`~repro.core.engine.BatchedEngine` exploits.
         """
         configs = list(configs)
-        self._evaluations += len(configs)
         n = len(configs)
-        num_devices = configs[0].num_devices if configs else 1
-        t_host = [0.0] * n
-        t_parts = [[0.0] * n for _ in range(num_devices)]
-        host_pos: list[int] = []
-        host_rows: list[list[float]] = []
-        device_pos: list[tuple[int, int]] = []
-        device_rows: list[list[float]] = []
-        for i, config in enumerate(configs):
-            host_mb, device_mbs = config.part_megabytes(size_mb)
-            if host_mb > 0:
-                host_pos.append(i)
-                host_rows.append(
-                    encode_host_row(config.host_threads, config.host_affinity, host_mb)
-                )
-            for k, (slot, mb) in enumerate(zip(config.device_slots, device_mbs)):
-                if mb > 0:
-                    device_pos.append((k, i))
-                    device_rows.append(
-                        encode_device_row(slot.threads, slot.affinity, mb)
-                    )
-        if host_rows:
-            for i, value in zip(
-                host_pos, self._predict_many(self.host_model, host_rows)
-            ):
-                t_host[i] = value
-        if device_rows:
-            for (k, i), value in zip(
-                device_pos,
-                self._predict_many(self.device_model, device_rows),
-            ):
-                t_parts[k][i] = value
-        return [
-            Energy(t_host[i], t_parts[0][i], tuple(t[i] for t in t_parts[1:]))
-            for i in range(n)
-        ]
+        self._evaluations += n
+        if not configs:
+            return []
+        table = ConfigTable.from_configs(configs)
+        host_mb, device_mbs = table.part_mb(size_mb)
+        t_host = self._side_times("host", table.host_threads, table.host_codes, host_mb)
+        cards = [table.device_columns(k) for k in range(len(device_mbs))]
+        t_cards = self._side_times(
+            "device",
+            np.concatenate([threads for threads, _ in cards]),
+            np.concatenate([codes for _, codes in cards]),
+            np.concatenate(device_mbs),
+        )
+        t_parts = [t_cards[k * n : (k + 1) * n] for k in range(len(cards))]
+        extras = list(zip(*t_parts[1:])) if len(t_parts) > 1 else [()] * n
+        return [Energy(*parts) for parts in zip(t_host, t_parts[0], extras)]
 
 
 class EnergyObjective:

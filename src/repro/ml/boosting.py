@@ -5,16 +5,27 @@ shallow :class:`~repro.ml.tree.RegressionTree` to the current residuals
 and is added with a shrinkage factor.  The paper selected this model
 over linear and Poisson regression for its accuracy (section III-B); our
 ablation benchmark reproduces that comparison.
+
+A fitted ensemble is piecewise constant over the cuts of its tree
+thresholds, so its first prediction compiles it into an exact lookup
+table (:meth:`BoostedDecisionTreeRegressor._compile`) and every later
+prediction, batch or scalar, is one cell read per row.  The table is a
+cache: ``fit`` drops it, and neither :mod:`repro.ml.io` nor pickling
+carries it.
 """
 
 from __future__ import annotations
+
+import math
+from bisect import bisect_left
 
 import numpy as np
 
 from .tree import _LEAF, RegressionTree, presort
 
-#: Rows per block in :meth:`BoostedDecisionTreeRegressor.predict`.
-PREDICT_BLOCK_ROWS = 256
+#: Largest lookup table (cells of float64, 8 MB) an ensemble compiles;
+#: a bigger one predicts by summing per-tree descents.
+TABLE_MAX_CELLS = 1 << 20
 
 
 class BoostedDecisionTreeRegressor:
@@ -59,7 +70,7 @@ class BoostedDecisionTreeRegressor:
         self.base_prediction_: float | None = None
         self.trees_: list[RegressionTree] = []
         self.train_loss_: list[float] = []
-        self._packed: tuple | None = None
+        self._table: tuple | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "BoostedDecisionTreeRegressor":
         """Fit the ensemble; records per-stage training MSE in ``train_loss_``."""
@@ -74,7 +85,7 @@ class BoostedDecisionTreeRegressor:
         self.train_loss_ = []
         current = np.full(len(y), self.base_prediction_)
         self._boost(X, y, current, self.n_estimators)
-        self._packed = None
+        self._table = None
         return self
 
     def continue_fit(
@@ -144,97 +155,117 @@ class BoostedDecisionTreeRegressor:
             self.trees_.append(tree)
             self.train_loss_.append(float(np.mean((y - current) ** 2)))
 
-    def _pack(self) -> tuple:
-        """Flatten the ensemble into (trees x nodes) arrays for batch descent.
+    def _compile(self) -> tuple:
+        """The ensemble as an exact lookup table, built on first use.
 
-        Leaves become self-loops (left == right == node), so descending a
-        fixed ``max depth`` number of steps parks every row at its leaf.
-        Built lazily after fit and reused across predict calls.
+        A boosted ensemble is piecewise constant between the thresholds
+        its trees split on.  Feature ``f``'s sorted distinct thresholds
+        are its cuts; a row's index on ``f`` is
+        ``searchsorted(cuts, x_f, side="left")``, and ``x_f <= cuts[j]``
+        holds exactly when that index is ``<= j``.  Each tree adds
+        ``learning_rate * value`` of every leaf over the leaf's box of
+        index ranges, in stage order from ``base_prediction_``, so every
+        cell holds the float64 sum a per-tree descent accumulates.
+
+        Returns ``(axes, flat)``: one ``(feature, cuts array, cuts list,
+        stride)`` per split feature and the flattened table, or
+        ``flat = None`` when the table would exceed
+        :data:`TABLE_MAX_CELLS`.
         """
-        if self._packed is None:
-            trees = self.trees_
-            n_trees = len(trees)
-            max_nodes = max(t.n_nodes for t in trees)
-            feature = np.zeros((n_trees, max_nodes), dtype=np.int32)
-            threshold = np.zeros((n_trees, max_nodes), dtype=np.float64)
-            left = np.zeros((n_trees, max_nodes), dtype=np.int32)
-            right = np.zeros((n_trees, max_nodes), dtype=np.int32)
-            value = np.zeros((n_trees, max_nodes), dtype=np.float64)
-            depth = 0
-            for t, tree in enumerate(trees):
-                n = tree.n_nodes
-                leaf = tree.feature == _LEAF
-                nodes = np.arange(n, dtype=np.int32)
-                feature[t, :n] = np.where(leaf, 0, tree.feature)
-                threshold[t, :n] = tree.threshold
-                left[t, :n] = np.where(leaf, nodes, tree.left)
-                right[t, :n] = np.where(leaf, nodes, tree.right)
-                value[t, :n] = tree.value
-                depth = max(depth, tree.depth)
-            self._packed = (feature, threshold, left, right, value, depth)
-        return self._packed
+        if self.base_prediction_ is None:
+            raise RuntimeError("predict called before fit")
+        trees = self.trees_
+        features = sorted(
+            {int(f) for tree in trees for f in tree.feature[tree.feature != _LEAF]}
+        )
+        cuts = [
+            np.unique(np.concatenate([tree.threshold[tree.feature == f] for tree in trees]))
+            for f in features
+        ]
+        cut_lists = [c.tolist() for c in cuts]
+        shape = tuple(len(c) + 1 for c in cuts)
+        if math.prod(shape) > TABLE_MAX_CELLS:
+            self._table = ((), None)
+            return self._table
+        axis_of = {f: k for k, f in enumerate(features)}
+        table = np.full(shape, self.base_prediction_)
+        lr = self.learning_rate
+        for tree in trees:
+            feature, threshold, left, right, value = (
+                getattr(tree, name).tolist()
+                for name in ("feature", "threshold", "left", "right", "value")
+            )
+            # Frames: (node, lower and upper cut-index bounds per axis).
+            stack = [(0, (0,) * len(shape), shape)]
+            while stack:
+                node, lo, hi = stack.pop()
+                f = feature[node]
+                if f == _LEAF:
+                    table[tuple(map(slice, lo, hi))] += lr * value[node]
+                    continue
+                k = axis_of[f]
+                j = bisect_left(cut_lists[k], threshold[node]) + 1
+                stack.append((left[node], lo, hi[:k] + (min(hi[k], j),) + hi[k + 1 :]))
+                stack.append((right[node], lo[:k] + (max(lo[k], j),) + lo[k + 1 :], hi))
+        strides = [s // table.itemsize for s in table.strides]
+        axes = tuple(zip(features, cuts, cut_lists, strides))
+        self._table = (axes, table.reshape(-1))
+        return self._table
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predict targets for a batch of rows.
 
-        Rows go through in blocks of :data:`PREDICT_BLOCK_ROWS`; within a
-        block all trees descend simultaneously over the packed
-        representation (one gather per depth level for the whole
-        ensemble).  Transient memory is therefore bounded by
-        ``trees x PREDICT_BLOCK_ROWS`` whatever the batch size.  Values
-        are bit-identical to per-tree descent: same leaves, and the
-        per-stage accumulation preserves the summation order of
-        :meth:`predict_one`.
+        One ``searchsorted`` per split feature indexes the compiled
+        table (see :meth:`_compile`), then one gather reads the rows'
+        cells.  An ensemble whose table would exceed
+        :data:`TABLE_MAX_CELLS` sums per-tree descents in stage order
+        instead (the loop :meth:`staged_predict` shares); both give the
+        same float64 values.
         """
-        if self.base_prediction_ is None:
-            raise RuntimeError("predict called before fit")
+        axes, flat = self._table or self._compile()
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        out = np.empty(len(X))
-        for start in range(0, len(X), PREDICT_BLOCK_ROWS):
-            block = slice(start, start + PREDICT_BLOCK_ROWS)
-            out[block] = self._predict_block(X[block])
-        return out
-
-    def _predict_block(self, X: np.ndarray) -> np.ndarray:
-        feature, threshold, left, right, value, depth = self._pack()
-        n = len(X)
-        nodes = np.zeros((len(self.trees_), n), dtype=np.int32)
-        rows = np.arange(n)
-        for _ in range(depth):
-            cur_feature = np.take_along_axis(feature, nodes, axis=1)
-            cur_threshold = np.take_along_axis(threshold, nodes, axis=1)
-            go_left = X[rows[None, :], cur_feature] <= cur_threshold
-            nodes = np.where(
-                go_left,
-                np.take_along_axis(left, nodes, axis=1),
-                np.take_along_axis(right, nodes, axis=1),
-            )
-        leaf_values = np.take_along_axis(value, nodes, axis=1)
-        out = np.full(n, self.base_prediction_)
-        for stage in leaf_values:
-            out += self.learning_rate * stage
-        return out
+        if flat is None:
+            return self._stage_sums(X)[-1]
+        index = np.zeros(len(X), dtype=np.intp)
+        for f, cuts, _, stride in axes:
+            index += stride * cuts.searchsorted(X[:, f], side="left")
+        return flat[index]
 
     def predict_one(self, x) -> float:
-        """Scalar-path prediction for a single row (see
-        :meth:`RegressionTree.predict_one`)."""
-        if self.base_prediction_ is None:
-            raise RuntimeError("predict called before fit")
-        out = self.base_prediction_
-        lr = self.learning_rate
-        for tree in self.trees_:
-            out += lr * tree.predict_one(x)
-        return out
+        """Scalar-path prediction for a single row (no array overhead).
+
+        The annealer scores one configuration at a time; this is the
+        table lookup of :meth:`predict` with ``bisect`` over Python
+        lists, equal to it bit for bit (NaN features excepted: they
+        need the batch path).
+        """
+        axes, flat = self._table or self._compile()
+        if flat is None:
+            return float(self.predict(x)[0])
+        i = 0
+        for f, _, cuts, stride in axes:
+            i += stride * bisect_left(cuts, x[f])
+        return flat.item(i)
+
+    def __getstate__(self) -> dict:
+        # The table is a cache: rebuilt on first use, never shipped.
+        state = dict(self.__dict__)
+        state["_table"] = None
+        return state
 
     def staged_predict(self, X: np.ndarray, every: int = 1) -> list[np.ndarray]:
         """Predictions after each ``every`` stages (for learning curves)."""
         if self.base_prediction_ is None:
             raise RuntimeError("staged_predict called before fit")
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        return self._stage_sums(X)[every - 1 :: every]
+
+    def _stage_sums(self, X: np.ndarray) -> list[np.ndarray]:
+        """The running prediction after every stage: per-tree descents
+        summed in stage order from ``base_prediction_``."""
         out = np.full(len(X), self.base_prediction_)
         stages = []
-        for i, tree in enumerate(self.trees_, 1):
+        for tree in self.trees_:
             out = out + self.learning_rate * tree.predict(X)
-            if i % every == 0:
-                stages.append(out.copy())
+            stages.append(out)
         return stages

@@ -6,13 +6,17 @@ fit (:func:`presort`; a boosting run shares one sort across all its
 stages).  A node holds its rows in every feature's stable sort order
 and hands each child a filtered copy, which is exactly the child's own
 stable argsort.  One prefix-sum pass then scores the candidate
-thresholds (the midpoints between distinct sorted values) of all
-features at once, so a node costs ``O(features * n)`` instead of the
-``O(features * n log n)`` of re-sorting it.
+thresholds of all features at once, so a node costs
+``O(features * n)`` instead of the ``O(features * n log n)`` of
+re-sorting it.  A threshold is the midpoint between two distinct
+sorted values, or the lower value where that midpoint does not fall
+strictly between them (adjacent doubles, overflow), so no child is
+ever empty.
 
 The fitted tree is stored flat (arrays of feature/threshold/children/
 value) which makes batch prediction a short loop over tree depth rather
-than Python recursion per sample.
+than Python recursion per sample.  Boosted ensembles predict through
+their compiled lookup table instead (see :mod:`repro.ml.boosting`).
 """
 
 from __future__ import annotations
@@ -155,7 +159,13 @@ class RegressionTree:
                 leaves[idx] = node
                 continue
             f, i = int(f_cand[best]), int(i_cand[best])
-            thr = float(0.5 * (xs[f, i] + xs[f, i + 1]))
+            lo, hi = float(xs[f, i]), float(xs[f, i + 1])
+            thr = 0.5 * (lo + hi)
+            if not lo <= thr < hi:
+                # The midpoint rounded onto ``hi`` (adjacent doubles,
+                # subnormals) or overflowed: cut at ``lo`` instead, so
+                # neither child is empty.
+                thr = lo
             go_left = X[idx, f] <= thr
             # A stable filter of the parent's orders is each child's own
             # stable argsort, ties still broken by row index.
@@ -197,25 +207,6 @@ class RegressionTree:
             nodes[idx] = np.where(go_left, self.left[cur], self.right[cur])
             active[idx] = self.feature[nodes[idx]] != _LEAF
         return self.value[nodes]
-
-    def predict_one(self, x) -> float:
-        """Scalar-path prediction for a single row (no array overhead).
-
-        The annealer scores one configuration at a time; batch
-        ``predict`` costs ~100x more per row from NumPy dispatch alone.
-        """
-        if self.feature is None:
-            raise RuntimeError("predict called before fit")
-        feature = self.feature
-        threshold = self.threshold
-        left = self.left
-        right = self.right
-        node = 0
-        f = feature[node]
-        while f != _LEAF:
-            node = left[node] if x[f] <= threshold[node] else right[node]
-            f = feature[node]
-        return float(self.value[node])
 
     @property
     def n_nodes(self) -> int:

@@ -16,6 +16,7 @@ from repro.core import (
     cooling_rate_for,
 )
 from repro.core.annealing import STOP_TEMPERATURE
+from support import Recording
 
 SPACE = ParameterSpace(
     host_threads=(2, 6, 12, 24, 36, 48),
@@ -34,24 +35,11 @@ def smooth_objective(config) -> Energy:
     return Energy(t_host, t_device)
 
 
-class Recording:
-    """An objective that logs every ``(config, energy)`` it scores, in order."""
-
-    def __init__(self, objective) -> None:
-        self.objective = objective
-        self.scored: list[tuple] = []
-
-    def __call__(self, config) -> Energy:
-        energy = self.objective(config)
-        self.scored.append((config, energy))
-        return energy
-
-
 def anneal(objective, *, iterations, seed, **kwargs):
     """Run one chain; return the result and the recording of its candidates."""
     record = Recording(objective)
     result = SimulatedAnnealing(SPACE, seed=seed, **kwargs).run(record, iterations=iterations)
-    return result, record.scored
+    return result, record.seen
 
 
 def initial_config(seed: int):

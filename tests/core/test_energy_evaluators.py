@@ -111,7 +111,42 @@ class TestMLEvaluator:
         ev = MLEvaluator(_ConstModel(1.0), _ConstModel(1.0))
         ev.evaluate(config(50.0), 1000.0)
         ev.evaluate(config(50.0), 1000.0)
-        assert ev.evaluations == 2  # counts calls, caching is internal
+        assert ev.evaluations == 2  # counts calls, not distinct configurations
+
+    def test_negative_batch_predictions_clipped(self):
+        ev = MLEvaluator(_ConstModel(-5.0), _ConstModel(-5.0))
+        (e,) = ev.evaluate_batch([config(50.0)], 1000.0)
+        assert e == ev.evaluate(config(50.0), 1000.0)
+        assert e.t_host == e.t_device == 1e-6
+
+
+class TestMLEvaluatorOnQuadphi:
+    """A real 4-card cell: the scalar table lookups equal the batch
+    gathers for every configuration, and each model compiles one table."""
+
+    def test_evaluate_equals_evaluate_batch(self):
+        import numpy as np
+
+        from repro.core.params import cell_space
+        from repro.dna.workloads import resolve_workload
+        from repro.machines.registry import get_platform
+        from repro.ml.transfer import cell_models
+
+        spec = get_platform("quadphi")
+        workload, _profile = resolve_workload("dna-paper")
+        space = cell_space(spec, workload)
+        ev = cell_models(spec, workload, seed=0, transfer=True).evaluator()
+        rng = np.random.default_rng(0)
+        configs = [space.random_config(rng) for _ in range(2000)]
+        assert {c.num_devices for c in configs} == {4}
+        first = ev.evaluate(configs[0], workload.sequence_mb)
+        tables = (ev.host_model._table, ev.device_model._table)
+        assert all(t is not None and t[1] is not None for t in tables)
+        scalar = [ev.evaluate(c, workload.sequence_mb) for c in configs]
+        batch = ev.evaluate_batch(configs, workload.sequence_mb)
+        assert scalar[0] == first
+        assert scalar == batch
+        assert all(a is b for a, b in zip((ev.host_model._table, ev.device_model._table), tables))
 
 
 class TestMakeObjective:

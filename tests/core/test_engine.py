@@ -31,6 +31,7 @@ from repro.search import (
     TabuSearch,
 )
 from repro.search.base import BudgetExhausted
+from support import Recording, first_seen
 
 SPACE = ParameterSpace(
     host_threads=(2, 6, 12, 24, 36, 48),
@@ -48,30 +49,6 @@ SMALL_SPACE = ParameterSpace(
 ALL_SEARCHERS = [RandomSearch, HillClimbing, TabuSearch, GeneticAlgorithm, AntColony]
 
 
-class Recording:
-    """An objective that logs every ``(config, value)`` it scores, in order.
-
-    It forwards ``evaluate_batch`` when the wrapped objective has one, so
-    a batched engine keeps its vectorized path.
-    """
-
-    def __init__(self, objective):
-        self.objective = objective
-        self.seen = []
-        if hasattr(objective, "evaluate_batch"):
-            self.evaluate_batch = self._evaluate_batch
-
-    def __call__(self, config):
-        value = self.objective(config)
-        self.seen.append((config, value))
-        return value
-
-    def _evaluate_batch(self, configs):
-        values = self.objective.evaluate_batch(configs)
-        self.seen.extend(zip(configs, values))
-        return values
-
-
 def expected_seen(reference: Recording, engine: EvaluationEngine) -> list:
     """What ``engine``'s objective sees when the serial run saw ``reference``.
 
@@ -80,10 +57,7 @@ def expected_seen(reference: Recording, engine: EvaluationEngine) -> list:
     """
     if not isinstance(engine, CachedEngine):
         return reference.seen
-    first: dict = {}
-    for config, value in reference.seen:
-        first.setdefault(config, value)
-    return list(first.items())
+    return first_seen(reference.seen)
 
 
 def analytic_objective(config) -> float:

@@ -8,6 +8,10 @@ tree.  The library's presorted fit must reproduce it bit for bit —
 same flat arrays, node numbering included — so the equivalence tests
 and the ``training_fit_speedup`` bench both compare against this copy.
 :func:`dna_paper_emil_grid` is the real cell they share.
+
+:func:`reference_predict` is the prediction oracle: a per-row, per-tree
+descent that sums ``learning_rate * leaf`` in stage order, which the
+ensemble's compiled lookup table must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -47,7 +51,10 @@ def _best_split(X, y, idx, min_samples_leaf):
         i = int(np.argmax(gain))
         if gain[i] > best_gain:
             best_gain = float(gain[i])
-            thr = 0.5 * (xs[i] + xs[i + 1])
+            lo, hi = float(xs[i]), float(xs[i + 1])
+            thr = 0.5 * (lo + hi)
+            if not lo <= thr < hi:  # rounded onto hi, or overflowed
+                thr = lo
             left_mask = x <= thr
             best = (f, float(thr), idx[left_mask], idx[~left_mask])
     return best
@@ -101,6 +108,21 @@ def reference_tree_fit(
     tree.right = np.array(right, dtype=np.int32)
     tree.value = np.array(value, dtype=np.float64)
     return tree
+
+
+def reference_predict(model: BoostedDecisionTreeRegressor, X) -> np.ndarray:
+    """Descend every tree for every row; sum ``lr * leaf`` in stage order."""
+    out = []
+    for x in np.atleast_2d(np.asarray(X, dtype=np.float64)):
+        total = model.base_prediction_
+        for tree in model.trees_:
+            node = 0
+            while tree.feature[node] != _LEAF:
+                go_left = x[tree.feature[node]] <= tree.threshold[node]
+                node = tree.left[node] if go_left else tree.right[node]
+            total += model.learning_rate * float(tree.value[node])
+        out.append(total)
+    return np.array(out)
 
 
 def _boost(model, X, y, current, n_stages):

@@ -1,20 +1,23 @@
 """Boosted decision tree regression."""
 
-import hashlib
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from reference_tree import (
-    TREE_ARRAYS,
     dna_paper_emil_grid,
     models_equal,
     reference_boosted_fit,
     reference_continue_fit,
+    reference_predict,
 )
 
 from repro.core.training import default_model_factory, train_models
 from repro.ml import BoostedDecisionTreeRegressor, RegressionTree, half_split
+from repro.ml.boosting import TABLE_MAX_CELLS
+from support import model_digest
 
 #: sha256 of the default-factory host + device models of dna-paper@Emil,
 #: seed 0 (see :func:`model_digest`).  Stored ``models`` records are keyed
@@ -22,18 +25,6 @@ from repro.ml import BoostedDecisionTreeRegressor, RegressionTree, half_split
 #: digest would silently orphan them: it must come with a
 #: ``STORE_SCHEMA_VERSION`` bump.
 GOLDEN_EMIL_MODELS_SHA256 = "fd926392d20c9e7950db844ef0134cd2afe8d907826d27fd5cbe649373f92720"
-
-
-def model_digest(models) -> str:
-    """sha256 over every tree's flat arrays, base prediction and losses."""
-    h = hashlib.sha256()
-    for model in models:
-        for tree in model.trees_:
-            for name in TREE_ARRAYS:
-                h.update(getattr(tree, name).tobytes())
-        h.update(np.float64(model.base_prediction_).tobytes())
-        h.update(np.asarray(model.train_loss_, dtype=np.float64).tobytes())
-    return h.hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +107,7 @@ class TestPredict:
         m = BoostedDecisionTreeRegressor(n_estimators=30).fit(X, y)
         batch = m.predict(X[:5])
         for i in range(5):
-            assert m.predict_one(X[i]) == pytest.approx(batch[i])
+            assert m.predict_one(X[i]) == batch[i]
 
     def test_staged_predict_converges_to_final(self):
         X, y = make_data(n=200)
@@ -165,7 +156,7 @@ class TestRealCell:
 
 
 class TestBoundedPredict:
-    def test_blocked_batch_equals_single_rows(self, emil_trained, emil_grid):
+    def test_batch_equals_single_rows(self, emil_trained, emil_grid):
         rng = np.random.default_rng(0)
         X = emil_grid.host.X[rng.integers(0, len(emil_grid.host), 4096)]
         X = X * rng.uniform(0.9, 1.1, X.shape)  # land between thresholds too
@@ -177,13 +168,103 @@ class TestBoundedPredict:
     def test_transient_memory_is_bounded(self, emil_trained, emil_host_halves):
         _, _, X, _ = emil_host_halves
         model = emil_trained.host_model
-        model.predict(X[:1])  # the packed ensemble is a one-off cache
+        model.predict(X[:1])  # the compiled table is a one-off cache
         tracemalloc.start()
         try:
             model.predict(X)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # Descending 300 trees x 1440 rows at once peaks at ~12 MB.
+        # A lookup holds one index per row; descending 300 trees x 1440
+        # rows at once would peak at ~12 MB.
         assert len(X) == 1440
         assert peak < 5 * 2**20
+
+
+def probe_rows(model, n_features, rng, n=120):
+    """Rows on thresholds, between them, beyond both ends, and at +-inf."""
+    columns = []
+    for f in range(n_features):
+        cuts = np.unique(np.concatenate(
+            [t.threshold[t.feature == f] for t in model.trees_] + [np.zeros(1)]
+        ))
+        values = np.concatenate([
+            cuts, 0.5 * (cuts[1:] + cuts[:-1]), np.nextafter(cuts, np.inf),
+            [cuts[0] - 1.0, cuts[-1] + 1.0, -np.inf, np.inf],
+        ])
+        columns.append(rng.choice(values, n))
+    return np.column_stack(columns)
+
+
+def assert_equals_reference(model, X):
+    expected = reference_predict(model, X)
+    assert np.array_equal(model.predict(X), expected)
+    assert np.array_equal([model.predict_one(row) for row in X], expected)
+    assert np.array_equal([model.predict_one(row.tolist()) for row in X], expected)
+
+
+class TestLookupTable:
+    """The compiled table equals per-tree descent bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 120),
+        n_features=st.integers(1, 4),
+        levels=st.sampled_from([2, 5, None]),
+        n_estimators=st.integers(1, 30),
+        learning_rate=st.sampled_from([0.08, 0.1, 0.3, 1.0]),
+        max_depth=st.integers(0, 5),
+        continued=st.integers(0, 10),
+    )
+    def test_predict_and_predict_one_equal_reference(
+        self, seed, n, n_features, levels, n_estimators, learning_rate, max_depth, continued
+    ):
+        rng = np.random.default_rng(seed)
+        # Few-valued columns put probes exactly on thresholds' neighbours.
+        X = rng.integers(0, levels, (n, n_features)) * 0.5 if levels else rng.normal(
+            size=(n, n_features))
+        y = rng.normal(size=n)
+        model = BoostedDecisionTreeRegressor(
+            n_estimators=n_estimators, learning_rate=learning_rate,
+            max_depth=max_depth, min_samples_leaf=1,
+        ).fit(X, y)
+        if continued:
+            model = model.continue_fit(X[::-1], rng.normal(size=n), continued)
+        assert_equals_reference(model, probe_rows(model, n_features, rng))
+
+    def test_continue_fit_on_a_real_cell(self, emil_trained, emil_host_halves):
+        _, _, X, y = emil_host_halves
+        model = emil_trained.host_model.continue_fit(X, y, 20)
+        probe = probe_rows(model, X.shape[1], np.random.default_rng(1), n=300)
+        assert_equals_reference(model, probe)
+
+    def test_oversized_ensemble_sums_per_tree_descents(self):
+        rng = np.random.default_rng(0)
+        X = rng.random((400, 3))
+        y = np.sin(7 * X[:, 0]) + X[:, 1] * X[:, 2] + 0.1 * rng.normal(size=400)
+        model = BoostedDecisionTreeRegressor(n_estimators=60, max_depth=4).fit(X, y)
+        cells = np.prod([
+            len(np.unique(np.concatenate([t.threshold[t.feature == f] for t in model.trees_])))
+            + 1
+            for f in range(3)
+        ])
+        assert cells > TABLE_MAX_CELLS
+        probe = probe_rows(model, 3, rng, n=60)
+        assert_equals_reference(model, probe)
+        assert np.array_equal(model.predict(probe), model.staged_predict(probe)[-1])
+
+    def test_refit_drops_the_table(self):
+        X, y = make_data(n=150)
+        model = BoostedDecisionTreeRegressor(n_estimators=10).fit(X, y)
+        model.predict(X)
+        model.fit(X, -y)
+        assert_equals_reference(model, X[:40])
+
+    def test_pickle_leaves_the_table_behind(self):
+        X, y = make_data(n=150)
+        model = BoostedDecisionTreeRegressor(n_estimators=10).fit(X, y)
+        before = len(pickle.dumps(model))
+        model.predict(X)
+        assert len(pickle.dumps(model)) == before
+        assert np.array_equal(pickle.loads(pickle.dumps(model)).predict(X), model.predict(X))

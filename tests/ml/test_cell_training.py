@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from test_boosting import GOLDEN_EMIL_MODELS_SHA256, model_digest
+from support import model_digest
+from test_boosting import GOLDEN_EMIL_MODELS_SHA256
 
 from repro.core import tune_platform
 from repro.experiments import default_context

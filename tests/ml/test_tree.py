@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference_tree import TREE_ARRAYS, reference_tree_fit
+from reference_tree import TREE_ARRAYS, reference_tree_fit, trees_equal
 
 from repro.ml import RegressionTree
 from repro.ml.tree import presort
@@ -75,17 +75,15 @@ class TestPredict:
     def test_before_fit_raises(self):
         with pytest.raises(RuntimeError):
             RegressionTree().predict(np.zeros((1, 1)))
-        with pytest.raises(RuntimeError):
-            RegressionTree().predict_one([0.0])
 
-    def test_predict_one_matches_batch(self):
+    def test_single_rows_match_batch(self):
         rng = np.random.default_rng(2)
         X = rng.random((100, 4))
         y = X @ np.array([1.0, -2.0, 0.5, 0.0])
         tree = RegressionTree(max_depth=5).fit(X, y)
         batch = tree.predict(X[:10])
         for i in range(10):
-            assert tree.predict_one(X[i]) == pytest.approx(batch[i])
+            assert tree.predict(X[i])[0] == batch[i]
 
     def test_predictions_within_target_range(self):
         rng = np.random.default_rng(3)
@@ -156,3 +154,58 @@ class TestReferenceEquivalence:
     def test_presort_breaks_ties_by_row(self):
         X = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
         assert presort(X).tolist() == [[1, 3, 0, 2], [0, 1, 2, 3]]
+
+
+MAX = np.finfo(np.float64).max
+#: Feature values whose split midpoints round onto the upper value
+#: (subnormals, adjacent doubles) or overflow (near +-MAX).
+EXTREMES = (
+    -5e-324, 0.0, -0.0, 5e-324, 1e-323, 1.5e-323,
+    1.0, float(np.nextafter(1.0, 2.0)), float(np.nextafter(1.0, 0.0)),
+    MAX, float(np.nextafter(MAX, 0.0)), float(np.nextafter(MAX, 0.0) - 2**970),
+    -MAX, float(np.nextafter(-MAX, 0.0)),
+)
+
+
+@st.composite
+def extreme_design(draw):
+    """(X, y) whose columns take only :data:`EXTREMES` values."""
+    n = draw(st.integers(2, 40))
+    n_features = draw(st.integers(1, 3))
+    cells = draw(st.lists(st.sampled_from(EXTREMES), min_size=n * n_features,
+                          max_size=n * n_features))
+    y = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+    return np.array(cells).reshape(n, n_features), np.array(y)
+
+
+def off_grid_rows(tree, n_features, rng):
+    """Rows on, just beside and beyond every threshold, and +-inf."""
+    values = [-np.inf, np.inf, *EXTREMES]
+    with np.errstate(over="ignore"):  # the neighbours of +-MAX are +-inf
+        for t in tree.threshold[tree.feature != -1]:
+            values += [t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)]
+    return rng.choice(np.array(values), size=(200, n_features))
+
+
+class TestNoEmptyChild:
+    """A split never sends every row one way: the midpoint of two
+    distinct values can round onto the upper one or overflow, and the
+    cut then falls back to the lower value."""
+
+    def test_subnormal_midpoint_rounding_onto_zero(self):
+        X = np.array([[-5e-324], [0.0], [0.0], [0.0], [0.0]])
+        tree = RegressionTree(max_depth=1).fit(X, np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
+        assert tree.threshold[0] == -5e-324
+        assert np.array_equal(tree.predict(np.array([[-1.0], [1.0]])), [1.0, 0.0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=extreme_design(), max_depth=st.integers(1, 4), seed=st.integers(0, 2**16))
+    def test_every_node_holds_rows_and_predictions_are_finite(self, data, max_depth, seed):
+        X, y = data
+        leaves = np.empty(len(X), dtype=np.intp)
+        tree = RegressionTree(max_depth=max_depth).fit(X, y, leaves=leaves)
+        assert set(np.flatnonzero(tree.feature == -1)) == set(leaves.tolist())
+        assert np.isfinite(tree.value).all()
+        probe = off_grid_rows(tree, X.shape[1], np.random.default_rng(seed))
+        assert np.isfinite(tree.predict(probe)).all()
+        assert trees_equal(tree, reference_tree_fit(X, y, max_depth=max_depth))

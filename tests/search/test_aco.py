@@ -2,10 +2,9 @@
 
 import numpy as np
 
-from test_metaheuristics import Recording
-
 from repro.core import ParameterSpace
 from repro.search import AntColony, RandomSearch
+from support import Recording
 
 SPACE = ParameterSpace(
     host_threads=(2, 6, 12, 24, 36, 48),

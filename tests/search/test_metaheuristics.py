@@ -12,6 +12,7 @@ from repro.search import (
     crossover,
 )
 from repro.search import hill_climbing
+from support import Recording, first_seen
 
 SPACE = ParameterSpace(
     host_threads=(2, 6, 12, 24, 36, 48),
@@ -19,27 +20,6 @@ SPACE = ParameterSpace(
 )
 
 ALL_SEARCHERS = [RandomSearch, HillClimbing, TabuSearch, GeneticAlgorithm]
-
-
-class Recording:
-    """An objective that logs every ``(config, value)`` it scores, in order."""
-
-    def __init__(self, objective):
-        self.objective = objective
-        self.seen = []
-
-    def __call__(self, config):
-        value = self.objective(config)
-        self.seen.append((config, value))
-        return value
-
-
-def first_seen(seen):
-    """``seen`` without repeated configurations: what a cache passes through."""
-    first: dict = {}
-    for config, value in seen:
-        first.setdefault(config, value)
-    return list(first.items())
 
 
 def objective(config) -> float:

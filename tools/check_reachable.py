@@ -51,7 +51,6 @@ DOTTED_NAME = re.compile(r"^[A-Za-z_]\w*(\.[A-Za-z_]\w*)*$")
 ALLOW: dict[str, str] = {
     # Test hooks that reset module-global state between tests.
     "repro.core.campaign:clear_em_cache": "test hook: resets the EM-reference cache",
-    "repro.ml.transfer:clear_transfer_cache": "test hook: resets the model registry",
     "repro.reliability.retry:reset_reliability_stats": "test hook: resets the global ledger",
     "repro.reliability.faults:armed_injector": "test hook: reads the armed fault injector",
     # Counter readers, test inputs and oracles.

@@ -21,8 +21,16 @@ node.  Each digest hashes the codec encoding of the report's compared
 fields (engine counters are not part of a report's equality, so they
 are left out here too).
 
+Transfer cases pin the warm-start path.  ``models/<cell>+transfer``
+hashes the continue-fit host + device model pair of short-read@emil
+(warm-started from dna-paper@emil) with ``tests/support``'s
+:func:`model_digest`, the digest behind ``GOLDEN_EMIL_MODELS_SHA256``.
+``portfolio/<cell>+transfer`` races the ``sh:25x2`` portfolio, SAML
+entrant included, on dna-paper@quadphi and hashes the codec encoding of
+the report's compared fields, the race ledger among them.
+
 CLI cases (``cli/<command line>``) run ``python -m repro``'s
-:func:`~repro.cli.main` in-process on the ``tune`` command lines of
+:func:`~repro.cli.main` in-process on the command lines of
 :data:`CLI_COMMANDS` and hash the text it prints to stdout.
 
 Usage, from the repository root::
@@ -41,11 +49,15 @@ import dataclasses
 import hashlib
 import io
 import json
+import sys
 from pathlib import Path
 from typing import Any, Callable
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDENS = REPO / "tests" / "goldens" / "digests.json"
+
+sys.path.insert(0, str(REPO / "tests"))
+from support import Recording, model_digest  # noqa: E402
 
 SEARCHERS = ("SA", "RS", "HC", "TABU", "GA", "ACO")
 OBJECTIVES = ("measured", "predicted")
@@ -74,7 +86,11 @@ CLI_COMMANDS = (
     "tune --method SAM --iterations 200 --platform fathost",
     "tune --method EML",
     "tune --platform quadphi --workload short-read --method SAML --iterations 200 --seed 3",
+    "portfolio --iterations 200 --portfolio sh:25x2",
 )
+
+#: Successive-halving schedule of the transfer-portfolio case.
+PORTFOLIO = "sh:25x2"
 
 
 def _sha256(payload: Any) -> str:
@@ -86,21 +102,6 @@ def _fields(obj: Any, names: tuple[str, ...]) -> dict[str, Any]:
     from repro.codec import encode
 
     return {name: encode(getattr(obj, name)) for name in names}
-
-
-class _Recording:
-    """A ``config -> value`` objective that logs every call in order."""
-
-    def __init__(self, objective: Callable) -> None:
-        self.objective = objective
-        self.seen: list[list[Any]] = []
-
-    def __call__(self, config):
-        from repro.codec import encode
-
-        value = self.objective(config)
-        self.seen.append([encode(config), encode(value)])
-        return value
 
 
 def _emil_cell():
@@ -129,7 +130,7 @@ def search_case(name: str, objective: str, seed: int) -> str:
         evaluator = cell_models(spec, workload_spec, seed=0).evaluator()
     size_mb = workload_spec.sequence_mb
     if name == "SA":
-        record = _Recording(EnergyObjective(evaluator, size_mb))
+        record = Recording(EnergyObjective(evaluator, size_mb))
         run = SimulatedAnnealing(space, seed=seed).run(record, iterations=BUDGET - 1)
         result = _fields(run, ("best_config", "best_energy", "iterations"))
     else:
@@ -140,15 +141,18 @@ def search_case(name: str, objective: str, seed: int) -> str:
             "GA": search.GeneticAlgorithm,
             "ACO": search.AntColony,
         }[name](space, seed=seed)
-        record = _Recording(EvaluatorObjective(evaluator, size_mb))
+        record = Recording(EvaluatorObjective(evaluator, size_mb))
         res = searcher.run(record, BUDGET)
         result = _fields(res, ("best_config", "best_value", "evaluations"))
-    return _sha256({"result": result, "seen": record.seen})
+    from repro.codec import encode
+
+    seen = [[encode(config), encode(value)] for config, value in record.seen]
+    return _sha256({"result": result, "seen": seen})
 
 
-def method_case(method: str, platform: str, size_mb: float, refine: float | None) -> str:
-    """Digest of one :func:`~repro.core.campaign.tune_platform` report."""
-    from repro.core import TuningOptions, tune_platform
+def _report_digest(platform: str, method: str, size_mb: float, options) -> str:
+    """Digest of the compared fields of one dna-paper ``tune_platform`` report."""
+    from repro.core import tune_platform
 
     report = tune_platform(
         platform,
@@ -157,16 +161,46 @@ def method_case(method: str, platform: str, size_mb: float, refine: float | None
         iterations=METHOD_ITERATIONS,
         seed=0,
         workload="dna-paper",
-        options=TuningOptions(refine=refine),
+        options=options,
     )
     compared = tuple(f.name for f in dataclasses.fields(report) if f.compare)
     return _sha256(_fields(report, compared))
 
 
-def cli_case(command: str) -> str:
-    """Digest of the stdout of one ``python -m repro`` command line."""
-    from repro.cli import main
+def method_case(method: str, platform: str, size_mb: float, refine: float | None) -> str:
+    """Digest of one :func:`~repro.core.campaign.tune_platform` report."""
+    from repro.core import TuningOptions
 
+    return _report_digest(platform, method, size_mb, TuningOptions(refine=refine))
+
+
+def warm_models_case() -> str:
+    """Digest of short-read@emil's continue-fit (transfer) model pair."""
+    from repro.ml.transfer import cell_models
+
+    models = cell_models("emil", "short-read", seed=0, transfer=True)
+    return model_digest((models.host_model, models.device_model))
+
+
+def portfolio_case() -> str:
+    """Digest of a transfer-portfolio race on dna-paper@quadphi."""
+    from repro.core import TuningOptions
+    from repro.core.portfolio import PortfolioSpec
+
+    options = TuningOptions(transfer=True, portfolio=PortfolioSpec.parse(PORTFOLIO))
+    return _report_digest("quadphi", "SAM", 1000.0, options)
+
+
+def cli_case(command: str) -> str:
+    """Digest of the stdout of one ``python -m repro`` command line.
+
+    Transfer counters start from zero, as in a fresh process: a
+    ``portfolio`` run prints them.
+    """
+    from repro.cli import main
+    from repro.ml.transfer import clear_transfer_cache
+
+    clear_transfer_cache()
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(command.split())
@@ -188,6 +222,8 @@ def cases() -> dict[str, Callable[[], str]]:
         out[f"method/{method}/{cell}"] = (
             lambda m=method, p=platform, mb=size_mb, r=refine: method_case(m, p, mb, r)
         )
+    out["models/short-read@emil+transfer/seed0"] = warm_models_case
+    out[f"portfolio/dna-paper@quadphi+transfer/{PORTFOLIO}"] = portfolio_case
     for command in CLI_COMMANDS:
         out[f"cli/{command}"] = lambda c=command: cli_case(c)
     return out
