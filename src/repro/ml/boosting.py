@@ -18,6 +18,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import deque
+from collections.abc import Iterator
+from itertools import islice
 
 import numpy as np
 
@@ -225,7 +228,7 @@ class BoostedDecisionTreeRegressor:
         axes, flat = self._table or self._compile()
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if flat is None:
-            return self._stage_sums(X)[-1]
+            return deque(self._stage_sums(X), maxlen=1)[0]
         index = np.zeros(len(X), dtype=np.intp)
         for f, cuts, _, stride in axes:
             index += stride * cuts.searchsorted(X[:, f], side="left")
@@ -258,14 +261,12 @@ class BoostedDecisionTreeRegressor:
         if self.base_prediction_ is None:
             raise RuntimeError("staged_predict called before fit")
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        return self._stage_sums(X)[every - 1 :: every]
+        return list(islice(self._stage_sums(X), every - 1, None, every))
 
-    def _stage_sums(self, X: np.ndarray) -> list[np.ndarray]:
-        """The running prediction after every stage: per-tree descents
-        summed in stage order from ``base_prediction_``."""
+    def _stage_sums(self, X: np.ndarray) -> Iterator[np.ndarray]:
+        """Yield the running prediction after every stage: per-tree
+        descents summed in stage order from ``base_prediction_``."""
         out = np.full(len(X), self.base_prediction_)
-        stages = []
         for tree in self.trees_:
             out = out + self.learning_rate * tree.predict(X)
-            stages.append(out)
-        return stages
+            yield out

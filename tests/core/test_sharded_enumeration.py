@@ -15,6 +15,7 @@ from repro.core import (
 )
 from repro.core.params import ParameterSpace, platform_space, share_simplex
 from repro.machines import PlatformSimulator, get_platform
+from repro.machines.affinity import DEVICE_AFFINITIES, affinity_domain
 
 SIZE_MB = 600.0
 
@@ -240,10 +241,11 @@ class TestShardedMeasuredEnumeration:
 class _LinearPredictor:
     """Picklable deterministic stand-in for the trained ensemble."""
 
-    def predict_part(self, side, threads, affinities, mb):
+    def predict_part(self, side, threads, codes, mb):
         t = np.asarray(threads, dtype=np.float64)
         m = np.asarray(mb, dtype=np.float64)
-        aff = np.asarray([0.9 if a == "balanced" else 1.0 for a in affinities])
+        names = [affinity_domain(side)[int(c)] for c in codes]
+        aff = np.asarray([0.9 if a == "balanced" else 1.0 for a in names])
         base = 2.0 if side == "host" else 1.0
         return base * m / (t * 40.0) * aff
 
@@ -254,6 +256,17 @@ class TestShardedMLEnumeration:
         return enumerate_best_separable_ml(
             two_device_space(), _LinearPredictor(), SIZE_MB
         )
+
+    def test_stub_times_depend_on_affinity(self, baseline):
+        # The stub takes the side's affinity codes and scores "balanced"
+        # device parts 10% faster, so the shard tests below compare
+        # enumerations where affinity matters, not ties.
+        codes = [DEVICE_AFFINITIES.index(a) for a in ("balanced", "scatter")]
+        fast, slow = _LinearPredictor().predict_part("device", [60, 60], codes, [SIZE_MB] * 2)
+        assert fast == pytest.approx(0.9 * slow)
+        best = baseline.best_config
+        affinities = [best.device_affinity] + [d.affinity for d in best.extra_devices]
+        assert affinities == ["balanced"] * best.num_devices
 
     @pytest.mark.parametrize("shards", [2, 4, 15])
     def test_serial_shards_are_bit_identical(self, shards, baseline):
